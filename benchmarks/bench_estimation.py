@@ -1,38 +1,26 @@
-"""Engine comparison for Step-2 mining: scalar vs PR-3/PR-5 vs frontier.
+"""Engine comparison for Step-2 mining: scalar reference vs default engine.
 
 Runs FairCap's Step 2 (treatment mining) on the German Table-4 configuration
-at increasing row counts through four engines:
+at increasing row counts through two engines:
 
 - ``scalar``  — per-candidate OLS (``batch_estimation=False``), the
   differential reference;
-- ``pr3``     — the PR-3 batched FWL engine (``batch_estimation=True`` with
-  ``bitset_masks=False, frontier_batching=False``);
-- ``pr5``     — the PR-5 frontier engine: bitset masks + frontier batching
-  without this PR's Gram subtraction / shared-memory pools
-  (``gram_subtraction=False, shared_memory=False``);
-- ``frontier``— the current default: PR-5 plus donor Gram subtraction for
-  protected/non-protected sub-populations.
+- ``default`` — the batched engine: each grouping pattern mined to
+  completion, lattice levels composed from packed item bitsets with
+  popcount pruning, one GEMM pair per (sub-population, adjustment set).
 
 Every batched run is differentially checked against its scalar twin — same
 lattice, same candidate rules (rtol 1e-9 on utilities), same selected
 ruleset — a speedup only counts if the answer is unchanged.
-
-A separate *throughput probe* times ``throughput_mode=True`` against the
-PR-3 engine on a tiny 2-context oracle world — the regime where the
-per-context frontier units historically sat at ~0.9-1x of PR-3.  Throughput
-mode merges GEMMs across contexts and skips digests/result caching, trading
-serial ≡ process bit-identity for speed, so the probe carries no equality
-check: its correctness gate is the scenario oracle
-(``tests/scenarios/test_throughput.py``).
 
 The out-of-core data layer is probed twice.  A *shard-overhead probe*
 (every invocation) mines the 4k-row German workload in RAM and through a
 ``ShardedTable`` spill and enforces both bit-identity and a ≤5% Step-2
 cost.  A *scale curve* (full runs only) mines one scenario world sharded
 vs in-RAM at 30k/100k/1M rows in fresh subprocesses (``scale_child.py``)
-and records wall-clock plus peak RSS/address space per point; the
-committed curve pins the payoff — the 1M-row world completes with peak
-RSS below the full-table footprint.
+and records wall-clock plus peak RSS (``VmHWM``) and peak address space
+(``VmPeak``) per point; the committed curve pins the payoff — the
+1M-row world completes with peak RSS below the in-RAM run's.
 
 Usage::
 
@@ -50,9 +38,9 @@ Outputs:
 - ``--smoke`` writes ``benchmarks/results/estimation-smoke.{txt,json}``
   instead (deterministic paths; never touches the committed record).
 
-Targets (largest size of the full curve, single core): the frontier engine
-must hold the PR-3 engine's ≥5x over scalar *and* beat the PR-3 engine
-itself by ≥1.5x; ``--smoke`` shrinks the run to a plumbing/equality check.
+``--smoke`` shrinks the run to a plumbing/equality check.  Wall-clock
+numbers are recorded, not gated: only differential mismatches and the
+overhead budgets below fail a run.
 """
 
 from __future__ import annotations
@@ -76,20 +64,11 @@ TEXT_PATH = BENCH_DIR / "results" / "estimation.txt"
 SMOKE_TEXT_PATH = BENCH_DIR / "results" / "estimation-smoke.txt"
 SMOKE_JSON_PATH = BENCH_DIR / "results" / "estimation-smoke.json"
 
-# Wall-clock targets are *soft*, same philosophy as the CI trend gate:
-# even a same-run, same-machine ratio moves with scheduler noise on shared
-# boxes (rep-to-rep spread at 4k rows spans 0.34-0.60s for one engine on a
-# loaded 1-CPU container, so a minimum-of-5 ratio wanders 1.27-1.45x around
-# the quiet-box 1.5x).  A miss prints a warning and is recorded in the
-# payload (``speedup_targets_met``); only differential mismatches — the
-# actual correctness contract — fail the run.
-TARGET_SPEEDUP_VS_SCALAR = 5.0
-TARGET_SPEEDUP_VS_PR3 = 1.5
 RTOL = 1e-9
 SMOKE_ROWS = 800
 
 # Telemetry must be free when off and near-free when on: the telemetry-on
-# frontier run may cost at most 1% over telemetry-off — OR at most 10 ms
+# default run may cost at most 1% over telemetry-off — OR at most 10 ms
 # absolute, whichever is larger.  The absolute floor exists because the
 # instrumentation cost is a near-fixed few milliseconds per run (counter
 # folds and span bookkeeping, not per-candidate work): at smoke scale
@@ -124,32 +103,20 @@ SHARD_PROBE_SHARD_ROWS = 1_024
 
 #: Out-of-core scale curve (full runs only): one scenario world mined
 #: sharded vs in-RAM at SO scale (30k), 100k and 1M rows, each point in a
-#: fresh subprocess so the ru_maxrss/VmPeak high-water marks of one point
+#: fresh subprocess so the VmHWM/VmPeak high-water marks of one point
 #: cannot leak into the next.  The committed curve is the payoff record of
 #: the sharded data layer: the 1M-row world mines to completion with peak
-#: RSS below the full-table footprint.
+#: RSS below the in-RAM run's.
 SCALE_WORLD = "linear-g3-d1-gap-lo"
 SCALE_SIZES = (30_000, 100_000, 1_000_000)
 SCALE_SHARD_ROWS = 4_096
 SCALE_CHILD = BENCH_DIR / "scale_child.py"
 
-ENGINES = ("scalar", "pr3", "pr5", "frontier")
-
-#: The tiny-world throughput probe: a 2-context linear world where the
-#: per-context frontier has no cross-context BLAS win to collect; merged
-#: rounds must at least break even against the PR-3 engine.
-THROUGHPUT_WORLD = "linear-g2-d1-gap-lo"
-THROUGHPUT_ROWS = 2_000
-TARGET_THROUGHPUT_VS_PR3 = 1.0
+ENGINES = ("scalar", "default")
 
 
 def _engine_configs(config):
-    return {
-        "scalar": replace(config, batch_estimation=False),
-        "pr3": replace(config, bitset_masks=False, frontier_batching=False),
-        "pr5": replace(config, gram_subtraction=False, shared_memory=False),
-        "frontier": config,
-    }
+    return {"scalar": replace(config, batch_estimation=False), "default": config}
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -232,85 +199,23 @@ def _measure_size(settings, dataset: str, variant: str, reps: int):
     config = settings.config_for(bundle, variants[variant])
     timed = _time_step2(_engine_configs(config), bundle, reps)
     scalar_seconds, scalar_result = timed["scalar"]
-    problems: list[str] = []
-    for name in ("pr3", "pr5", "frontier"):
-        problems.extend(_check_identical(scalar_result, timed[name][1], name))
-    pr3_seconds = timed["pr3"][0]
-    pr5_seconds = timed["pr5"][0]
-    frontier_seconds, frontier_result = timed["frontier"]
+    default_seconds, default_result = timed["default"]
+    problems = _check_identical(scalar_result, default_result, "default")
     row = {
         "rows": bundle.table.n_rows,
         "scalar_seconds": round(scalar_seconds, 4),
-        "pr3_seconds": round(pr3_seconds, 4),
-        "pr5_seconds": round(pr5_seconds, 4),
-        "frontier_seconds": round(frontier_seconds, 4),
-        "speedup_vs_scalar": round(scalar_seconds / frontier_seconds, 2)
-        if frontier_seconds > 0
+        "default_seconds": round(default_seconds, 4),
+        "speedup_vs_scalar": round(scalar_seconds / default_seconds, 2)
+        if default_seconds > 0
         else float("inf"),
-        "speedup_vs_pr3": round(pr3_seconds / frontier_seconds, 2)
-        if frontier_seconds > 0
-        else float("inf"),
-        "speedup_vs_pr5": round(pr5_seconds / frontier_seconds, 2)
-        if frontier_seconds > 0
-        else float("inf"),
-        "nodes_evaluated": frontier_result.nodes_evaluated,
+        "nodes_evaluated": default_result.nodes_evaluated,
         "identical": not problems,
     }
     return row, problems
 
 
-def _measure_throughput_probe(reps: int) -> dict:
-    """Tiny-world throughput-mode point: merged rounds vs the PR-3 engine.
-
-    Interleaved alternation with the minimum across reps, like
-    :func:`_time_step2`.  No differential check — throughput mode is
-    certified by the scenario oracle, not bit-identity — so the row only
-    records wall-clock, the context count, and whether the break-even
-    target held.
-    """
-    from repro.scenarios import ScenarioWorld, oracle_grid
-    from repro.scenarios.oracle import oracle_config, run_world
-
-    spec = {s.name: s for s in oracle_grid()}[THROUGHPUT_WORLD]
-    world = ScenarioWorld(spec)
-    bundle = world.bundle(THROUGHPUT_ROWS)
-    configs = {
-        "pr3": oracle_config(
-            world, bitset_masks=False, frontier_batching=False
-        ),
-        "throughput": oracle_config(world, throughput_mode=True),
-    }
-    result = run_world(world, bundle)  # warm shared memos
-    times: dict[str, list[float]] = {name: [] for name in configs}
-    reps = max(reps, 5)  # millisecond-scale runs: min over a few reps
-    names = list(configs)
-    for rep in range(reps):
-        order = names[rep % len(names):] + names[: rep % len(names)]
-        for name in order:
-            run = run_world(world, bundle, configs[name])
-            times[name].append(run.timings["treatment_mining"])
-    pr3_seconds = min(times["pr3"])
-    throughput_seconds = min(times["throughput"])
-    speedup = (
-        pr3_seconds / throughput_seconds
-        if throughput_seconds > 0
-        else float("inf")
-    )
-    return {
-        "world": THROUGHPUT_WORLD,
-        "rows": bundle.table.n_rows,
-        "contexts": len(result.grouping_patterns),
-        "reps": reps,
-        "pr3_seconds": round(pr3_seconds, 4),
-        "throughput_seconds": round(throughput_seconds, 4),
-        "speedup_vs_pr3": round(speedup, 3),
-        "target_min": TARGET_THROUGHPUT_VS_PR3,
-        "passed": speedup >= TARGET_THROUGHPUT_VS_PR3,
-    }
-
-
 def _measure_telemetry_overhead(settings, dataset: str, variant: str, reps: int):
-    """Telemetry-on vs telemetry-off cost of the default frontier engine.
+    """Telemetry-on vs telemetry-off cost of the default engine.
 
     Alternating interleaved order (off/on, then on/off, ...) with the
     minimum across reps on each side — the same interference-robust
@@ -486,9 +391,8 @@ def _run_scale_point(mode: str, n: int) -> dict:
 def _measure_scale_curve() -> dict:
     """Sharded vs in-RAM wall-clock and peak memory at 30k/100k/1M rows.
 
-    Both sides run the memory-lean mining configuration (per-context
-    mining, no estimation cache — see ``scale_child.py``) so the peaks
-    compare the data layer itself: the sharded side samples the world
+    Both sides run the default engine without an estimation cache (see
+    ``scale_child.py``) so the peaks compare the data layer itself: the sharded side samples the world
     chunk-by-chunk straight into the shard store and never materialises
     the full table, the in-RAM side holds it for the whole run.  The two
     sides draw different sample streams (chunked sampling advances the
@@ -505,7 +409,7 @@ def _measure_scale_curve() -> dict:
                 "rows": n,
                 "sharded": sharded,
                 "in_ram": in_ram,
-                "rss_saving_kb": in_ram["rss_kb"] - sharded["rss_kb"],
+                "rss_saving_kb": in_ram["hwm_kb"] - sharded["hwm_kb"],
                 "peak_saving_kb": in_ram["peak_kb"] - sharded["peak_kb"],
             }
         )
@@ -513,10 +417,10 @@ def _measure_scale_curve() -> dict:
     return {
         "world": SCALE_WORLD,
         "shard_rows": SCALE_SHARD_ROWS,
-        "mining_config": "frontier_batching=False, cache_size=0 (both modes)",
+        "mining_config": "default engine, cache_size=0 (both modes)",
         "points": points,
         "rss_bounded_at_largest": (
-            largest["sharded"]["rss_kb"] < largest["in_ram"]["rss_kb"]
+            largest["sharded"]["hwm_kb"] < largest["in_ram"]["hwm_kb"]
         ),
     }
 
@@ -624,9 +528,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{shard_overhead['on_seconds']:.3f}s sharded)"
         )
     probe_seconds = time.perf_counter() - probe_start
-    # The throughput-mode point always runs (smoke included): the trend
-    # gate soft-asserts its break-even target on every PR.
-    throughput_probe = _measure_throughput_probe(args.reps)
     # The out-of-core scale curve only runs on full invocations: three
     # subprocess pairs up to 1M rows are bench work, not CI smoke work.
     # The committed record is what the trend gate reports from.
@@ -643,8 +544,8 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"out-of-core peak RSS not bounded at "
                 f"{largest['rows']} rows: sharded "
-                f"{largest['sharded']['rss_kb']} kB vs in-RAM "
-                f"{largest['in_ram']['rss_kb']} kB"
+                f"{largest['sharded']['hwm_kb']} kB vs in-RAM "
+                f"{largest['in_ram']['hwm_kb']} kB"
             )
     wall = time.perf_counter() - wall_start
 
@@ -670,18 +571,6 @@ def main(argv: list[str] | None = None) -> int:
         "sizes": rows,
         "wall_seconds": round(wall, 3),
         "speedup_vs_scalar_at_experiment_scale": at_scale["speedup_vs_scalar"],
-        "speedup_vs_pr3_at_experiment_scale": at_scale["speedup_vs_pr3"],
-        "speedup_vs_pr5_at_experiment_scale": at_scale["speedup_vs_pr5"],
-        "throughput_probe": throughput_probe,
-        "target": {
-            "min_speedup_vs_scalar": TARGET_SPEEDUP_VS_SCALAR,
-            "min_speedup_vs_pr3": TARGET_SPEEDUP_VS_PR3,
-            "applies_to": (
-                "largest size of the full curve (experiment scale); "
-                "soft: a miss warns, only differential mismatches fail; "
-                "smoke runs check equality only"
-            ),
-        },
         "telemetry_overhead": overhead,
         "resilience_overhead": resilience,
         "shard_overhead": shard_overhead,
@@ -691,11 +580,6 @@ def main(argv: list[str] | None = None) -> int:
             "derived": (run_report or {}).get("derived", {}),
         },
         "differential_failures": failures,
-        "speedup_targets_met": args.smoke
-        or (
-            at_scale["speedup_vs_scalar"] >= TARGET_SPEEDUP_VS_SCALAR
-            and at_scale["speedup_vs_pr3"] >= TARGET_SPEEDUP_VS_PR3
-        ),
         "passed": not failures,
     }
 
@@ -705,30 +589,17 @@ def main(argv: list[str] | None = None) -> int:
         f"schedulable={payload['env']['schedulable_cpus']}"
         f"{' [smoke]' if args.smoke else ''}",
         "",
-        f"{'rows':>7} {'scalar s':>9} {'pr3 s':>8} {'pr5 s':>8} "
-        f"{'frontier s':>11} {'vs scalar':>10} {'vs pr3':>8} {'vs pr5':>8}  "
+        f"{'rows':>7} {'scalar s':>9} {'default s':>10} {'vs scalar':>10}  "
         "identical",
     ]
     for row in rows:
         lines.append(
             f"{row['rows']:>7} {row['scalar_seconds']:>9.3f} "
-            f"{row['pr3_seconds']:>8.3f} {row['pr5_seconds']:>8.3f} "
-            f"{row['frontier_seconds']:>11.3f} "
-            f"{row['speedup_vs_scalar']:>9.2f}x {row['speedup_vs_pr3']:>7.2f}x "
-            f"{row['speedup_vs_pr5']:>7.2f}x  "
+            f"{row['default_seconds']:>10.3f} "
+            f"{row['speedup_vs_scalar']:>9.2f}x  "
             f"{'yes' if row['identical'] else 'NO'}"
         )
     lines.append("")
-    lines.append(
-        f"throughput probe @ {throughput_probe['world']} "
-        f"({throughput_probe['contexts']} contexts, "
-        f"{throughput_probe['rows']} rows): "
-        f"{throughput_probe['pr3_seconds']:.4f}s pr3 -> "
-        f"{throughput_probe['throughput_seconds']:.4f}s merged "
-        f"({throughput_probe['speedup_vs_pr3']:.2f}x, target >= "
-        f"{TARGET_THROUGHPUT_VS_PR3:.1f}x) — "
-        f"{'OK' if throughput_probe['passed'] else 'BELOW TARGET'}"
-    )
     lines.append(
         f"telemetry overhead @ {overhead['rows']} rows: "
         f"{overhead['off_seconds']:.3f}s off -> {overhead['on_seconds']:.3f}s on "
@@ -772,26 +643,22 @@ def main(argv: list[str] | None = None) -> int:
             sharded, in_ram = point["sharded"], point["in_ram"]
             lines.append(
                 f"{point['rows']:>9,} {sharded['seconds']:>10.2f} "
-                f"{sharded['rss_kb'] / 1024:>8.0f} "
+                f"{sharded['hwm_kb'] / 1024:>8.0f} "
                 f"{sharded['peak_kb'] / 1024:>8.0f} "
-                f"{in_ram['seconds']:>10.2f} {in_ram['rss_kb'] / 1024:>8.0f} "
+                f"{in_ram['seconds']:>10.2f} {in_ram['hwm_kb'] / 1024:>8.0f} "
                 f"{in_ram['peak_kb'] / 1024:>8.0f} "
                 f"{point['rss_saving_kb'] / 1024:>8.0f}MB"
             )
         lines.append(
-            "peak RSS at the largest point bounded below the full-table "
-            "footprint: "
+            "sharded peak RSS at the largest point below the in-RAM run's: "
             + ("yes" if scale_curve["rss_bounded_at_largest"] else "NO")
         )
     if args.smoke:
-        lines.append("smoke run: frontier == pr3 == scalar equality check only")
+        lines.append("smoke run: default == scalar equality check only")
     else:
         lines.append(
             f"at experiment scale: {at_scale['speedup_vs_scalar']:.2f}x over "
-            f"scalar (target >= {TARGET_SPEEDUP_VS_SCALAR:.0f}x), "
-            f"{at_scale['speedup_vs_pr3']:.2f}x over the PR-3 batch engine "
-            f"(target >= {TARGET_SPEEDUP_VS_PR3:.1f}x), "
-            f"{at_scale['speedup_vs_pr5']:.2f}x over the PR-5 frontier engine"
+            "the scalar reference"
         )
     print("\n".join(lines))
 
@@ -829,16 +696,6 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print("FAILURE:", *failures, sep="\n  ", file=sys.stderr)
         return 1
-    if not args.smoke and not payload["speedup_targets_met"]:
-        # Soft, like the trend gate: shared-runner scheduler noise moves
-        # even same-run ratios by more than the target margin.
-        print(
-            f"warning: speedups {at_scale['speedup_vs_scalar']:.2f}x / "
-            f"{at_scale['speedup_vs_pr3']:.2f}x below the "
-            f"{TARGET_SPEEDUP_VS_SCALAR:.0f}x / {TARGET_SPEEDUP_VS_PR3:.1f}x "
-            "targets (soft gate; recorded in the payload)",
-            file=sys.stderr,
-        )
     return 0
 
 

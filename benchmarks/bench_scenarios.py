@@ -2,10 +2,9 @@
 
 Runs FairCap end to end on every world of the scenario oracle grid
 (:mod:`repro.scenarios`) and records the per-scenario ``treatment_mining``
-wall-clock — through both the PR-3 batch engine and the current default
-frontier engine (bitset masks + popcount pruning + two-phase frontier
-rounds), extending the repo's perf-trajectory record to the known-CATE
-workloads — while the built-in oracle gate re-checks, per scenario, that
+wall-clock of the default engine, extending the repo's perf-trajectory
+record to the known-CATE workloads — while the built-in oracle gate
+re-checks, per scenario, that
 
 - CATE estimates sit in the analytic band around the closed-form truth,
 - the scenario's fairness constraints hold,
@@ -13,15 +12,7 @@ workloads — while the built-in oracle gate re-checks, per scenario, that
 - the serving round-trip preserves every decision.
 
 A timing only counts when every check passes; any violation fails the
-bench (CI runs ``--smoke`` on every PR).  Reading the recorded per-world
-``speedup_vs_pr3``: the bitset kernel's popcount pruning dominates on the
-degenerate worlds (``separated``/``zero-effect`` run ~1.5-2x faster), while
-the tiny 2-4-context linear worlds sit at ~0.9-1x — at millisecond mining
-scale the frontier's digest/plan machinery costs about what its fixed-cost
-batching saves, and its per-context GEMM units (the price of serial ≡
-process bit-identity) leave no cross-context BLAS win to collect.  The
-many-context regime where the frontier pays off is the German/SO curve in
-``BENCH_estimation.json``.
+bench (CI runs ``--smoke`` on every PR).
 
 Usage::
 
@@ -89,8 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rows", type=int, default=1_200,
                         help="rows per scenario (default 1200)")
     parser.add_argument("--reps", type=int, default=3,
-                        help="timed runs per scenario per engine, order "
-                             "alternating; the minimum counts")
+                        help="timed runs per scenario; the minimum counts")
     parser.add_argument("--scenarios", default=None,
                         help="comma-separated scenario names (default: all)")
     parser.add_argument("--smoke", action="store_true",
@@ -118,28 +108,16 @@ def main(argv: list[str] | None = None) -> int:
         world = ScenarioWorld(specs[name])
         bundle = world.bundle(args.rows)
         config = oracle_config(world)
-        pr3_config = replace(config, bitset_masks=False, frontier_batching=False)
 
         problems = check_world(world, bundle, config)
         failures.extend(f"{name}: {p}" for p in problems)
 
+        # The minimum counts: at millisecond scale any slower sample is the
+        # same deterministic computation plus scheduler noise.
         timings: list[float] = []
-        pr3_timings: list[float] = []
-        result = None
-        for rep in range(args.reps):
-            # Alternate the engine order (a fixed order hands the second
-            # engine a systematic cache/thermal handicap) and report the
-            # minimum: at millisecond scale any slower sample is the same
-            # deterministic computation plus scheduler noise.
-            ordering = ("default", "pr3") if rep % 2 == 0 else ("pr3", "default")
-            for engine in ordering:
-                if engine == "default":
-                    result = run_world(world, bundle, config)
-                    timings.append(result.timings["treatment_mining"])
-                elif not args.smoke:
-                    pr3_result = run_world(world, bundle, pr3_config)
-                    pr3_timings.append(pr3_result.timings["treatment_mining"])
-        assert result is not None
+        for _ in range(args.reps):
+            result = run_world(world, bundle, config)
+            timings.append(result.timings["treatment_mining"])
         mining_seconds = min(timings)
         row = {
             "scenario": name,
@@ -150,14 +128,6 @@ def main(argv: list[str] | None = None) -> int:
             "nodes_evaluated": result.nodes_evaluated,
             "oracle_ok": not problems,
         }
-        if pr3_timings:
-            pr3_seconds = min(pr3_timings)
-            row["pr3_mining_seconds"] = round(pr3_seconds, 5)
-            row["speedup_vs_pr3"] = (
-                round(pr3_seconds / mining_seconds, 2)
-                if mining_seconds > 0
-                else float("inf")
-            )
         rows.append(row)
     wall = time.perf_counter() - wall_start
 
@@ -185,34 +155,18 @@ def main(argv: list[str] | None = None) -> int:
         "oracle_failures": failures,
         "passed": not failures,
     }
-    if not args.smoke:
-        pr3_total = sum(r["pr3_mining_seconds"] for r in rows)
-        payload["pr3_mining_seconds_total"] = round(pr3_total, 4)
-        payload["speedup_vs_pr3_grid"] = (
-            round(pr3_total / payload["mining_seconds_total"], 2)
-            if payload["mining_seconds_total"] > 0
-            else float("inf")
-        )
 
-    with_pr3 = all("speedup_vs_pr3" in r for r in rows) and rows
     lines = [
         f"bench_scenarios: {len(rows)} worlds at n={args.rows} "
         f"reps={args.reps} cpus={os.cpu_count()}"
         f"{' [smoke]' if args.smoke else ''}",
         "",
-        f"{'scenario':<28} {'rows':>6} {'mining s':>9}"
-        + (f" {'pr3 s':>8} {'vs pr3':>7}" if with_pr3 else "")
-        + f" {'rules':>6}  oracle",
+        f"{'scenario':<28} {'rows':>6} {'mining s':>9} {'rules':>6}  oracle",
     ]
     for row in rows:
-        extra = (
-            f" {row['pr3_mining_seconds']:>8.4f} {row['speedup_vs_pr3']:>6.2f}x"
-            if with_pr3
-            else ""
-        )
         lines.append(
             f"{row['scenario']:<28} {row['rows']:>6} "
-            f"{row['mining_seconds']:>9.4f}{extra} {row['n_rules']:>6}  "
+            f"{row['mining_seconds']:>9.4f} {row['n_rules']:>6}  "
             f"{'ok' if row['oracle_ok'] else 'FAIL'}"
         )
     lines.append("")
@@ -220,11 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         f"grid wall-clock: {wall:.2f}s "
         f"(mining only: {payload['mining_seconds_total']:.2f}s)"
     )
-    if with_pr3:
-        lines.append(
-            f"grid speedup vs the PR-3 batch engine: "
-            f"{payload['speedup_vs_pr3_grid']:.2f}x"
-        )
     print("\n".join(lines))
 
     text_path = SMOKE_TEXT_PATH if args.smoke else TEXT_PATH

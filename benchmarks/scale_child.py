@@ -3,10 +3,12 @@
 Mines one scenario world — sampled chunk-by-chunk into a columnar shard
 store (``sharded``) or fully in RAM (``unsharded``) — and prints a
 one-line JSON record with the wall-clock and the process's peak address
-space / peak RSS.  One subprocess per curve point keeps the memory
-numbers honest: ``ru_maxrss`` and ``VmPeak`` are process-lifetime
-high-water marks, so points sharing an interpreter would inherit each
-other's peaks.  Invoked as::
+space (``VmPeak``) / peak RSS (``VmHWM``).  One subprocess per curve point
+keeps the memory numbers honest: both are process-lifetime high-water
+marks, so points sharing an interpreter would inherit each other's peaks.
+(``ru_maxrss`` would not do either: a forked child inherits its parent's
+value, so every small point would report the bench parent's footprint.)
+Invoked as::
 
     python benchmarks/scale_child.py <mode> <world> <n_rows> <shard_rows>
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import resource
 import shutil
 import sys
 import tempfile
@@ -29,10 +30,10 @@ from repro.scenarios.oracle import oracle_config
 from repro.scenarios.spec import spec_by_name
 
 
-def _vm_peak_kb() -> int:
+def _proc_status_kb(field: str) -> int:
     with open("/proc/self/status") as handle:
         for line in handle:
-            if line.startswith("VmPeak:"):
+            if line.startswith(field + ":"):
                 return int(line.split()[1])
     return -1
 
@@ -45,13 +46,10 @@ def main() -> int:
         int(sys.argv[4]),
     )
     world = ScenarioWorld(spec_by_name(name))
-    # Memory-lean mining on BOTH sides so the peaks compare the data
-    # layer, not the frontier's context retention: per-context mining and
-    # no estimation cache — the same configuration as the memory-cap
-    # regression test (tests/integration/test_memory_cap.py).
-    config = dataclasses.replace(
-        oracle_config(world), frontier_batching=False, cache_size=0
-    )
+    # The default Step-2 engine without an estimation cache on BOTH sides,
+    # so the peaks compare the data layer — the same configuration as the
+    # memory-cap regression test (tests/integration/test_memory_cap.py).
+    config = dataclasses.replace(oracle_config(world), cache_size=0)
     directory = tempfile.mkdtemp(prefix="bench-scale-shards-")
     try:
         start = time.perf_counter()
@@ -67,8 +65,8 @@ def main() -> int:
         json.dumps(
             {
                 "seconds": round(seconds, 3),
-                "peak_kb": _vm_peak_kb(),
-                "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                "peak_kb": _proc_status_kb("VmPeak"),
+                "hwm_kb": _proc_status_kb("VmHWM"),
                 "rules": result.metrics.n_rules,
             }
         )

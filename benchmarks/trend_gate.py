@@ -113,36 +113,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"(soft gate, threshold {args.threshold * 100:.0f}%)"
             )
 
-    # -- throughput-mode point (tiny-world break-even vs PR-3) -----------------
-    # Recorded by bench_estimation on every run, smoke included.  Soft, like
-    # the wall-clock trend: the probe times millisecond-scale runs, so a
-    # shared runner can push it under 1.0x without an engine regression —
-    # but a persistent miss says the merged rounds stopped paying for
-    # themselves in the regime they exist for.
-    smoke_estimation = RESULTS_DIR / "estimation-smoke.json"
-    estimation_record = (
-        _load(smoke_estimation) if smoke_estimation.exists() else {}
-    )
-    probe = estimation_record.get("throughput_probe", {})
-    if probe:
-        speedup = probe.get("speedup_vs_pr3")
-        target = probe.get("target_min", 1.0)
-        ok = speedup is not None and speedup >= target
-        lines.append("")
-        lines.append(
-            f"**Throughput mode** ({probe.get('world')}, "
-            f"{probe.get('contexts')} contexts): {speedup}x vs the PR-3 "
-            f"engine (target ≥ {target}x) — "
-            + ("ok" if ok else ":warning: below break-even")
-        )
-        if not ok:
-            warnings.append(
-                f"::warning::bench-trend: throughput-mode probe "
-                f"{speedup}x is below the {target}x break-even target on "
-                f"{probe.get('world')} (soft gate; certified by the "
-                "scenario oracle, timed here)"
-            )
-
     # -- serving tier (RPS / tail latency / hot-reload probe) ------------------
     # Throughput and p99 against the committed smoke baseline, same soft
     # philosophy as wall-clock.  The hot-reload probe is hard-gated inside
@@ -208,6 +178,10 @@ def main(argv: list[str] | None = None) -> int:
     # Hard-gated inside bench_estimation itself (over-budget fails the smoke
     # job after one re-probe); surfaced here so the job summary shows the
     # trend even while both sit comfortably inside budget.
+    smoke_estimation = RESULTS_DIR / "estimation-smoke.json"
+    estimation_record = (
+        _load(smoke_estimation) if smoke_estimation.exists() else {}
+    )
     overhead_probes = [
         ("telemetry", estimation_record.get("telemetry_overhead", {})),
         ("resilience", estimation_record.get("resilience_overhead", {})),
@@ -261,22 +235,22 @@ def main(argv: list[str] | None = None) -> int:
             sharded, in_ram = point.get("sharded", {}), point.get("in_ram", {})
             lines.append(
                 f"| {point.get('rows'):,} | {sharded.get('seconds')} "
-                f"| {sharded.get('rss_kb', 0) / 1024:.0f} MB "
+                f"| {sharded.get('hwm_kb', 0) / 1024:.0f} MB "
                 f"| {in_ram.get('seconds')} "
-                f"| {in_ram.get('rss_kb', 0) / 1024:.0f} MB "
+                f"| {in_ram.get('hwm_kb', 0) / 1024:.0f} MB "
                 f"| {point.get('rss_saving_kb', 0) / 1024:.0f} MB |"
             )
         bounded = curve.get("rss_bounded_at_largest")
         lines.append("")
         lines.append(
-            "Peak RSS at the largest point bounded below the full-table "
-            "footprint: " + ("yes" if bounded else ":warning: **no**")
+            "Sharded peak RSS (`VmHWM`) at the largest point below the "
+            "in-RAM run's: " + ("yes" if bounded else ":warning: **no**")
         )
         if not bounded:
             warnings.append(
                 "::warning::bench-trend: committed shard scale curve shows "
                 "the sharded run's peak RSS at its largest point is NOT "
-                "below the in-RAM footprint — the out-of-core payoff claim "
+                "below the in-RAM run's — the out-of-core payoff claim "
                 "no longer holds in the committed record"
             )
 

@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.baselines.association import AssociationRule
 from repro.causal.dag import CausalDAG
 from repro.core.config import FairCapConfig
-from repro.core.intervention import intervention_items, mine_intervention
+from repro.core.intervention import intervention_items, mine_grouping
 from repro.mining.patterns import Pattern
 from repro.rules.protected import ProtectedGroup
 from repro.rules.rule import PrescriptionRule
@@ -103,7 +103,7 @@ def adapt_if_as_grouping(
     items = intervention_items(table, schema, dag, config)
     rules: list[PrescriptionRule] = []
     for grouping in groupings:
-        result = mine_intervention(evaluator.context(grouping), items, config)
+        result = mine_grouping(evaluator, grouping, items, config)
         if result.best is not None:
             rules.append(result.best)
     ruleset, metrics = _metrics_for(table, rules, protected)

@@ -30,9 +30,10 @@ from repro.causal.backdoor import (
 )
 from repro.causal.batch import (
     DesignFactorization,
+    GramFactorization,
     build_factorization,
-    estimate_cate_batch,
-    estimate_cate_level,
+    build_rows_factorization,
+    estimate_level_rows,
 )
 from repro.causal.estimators import (
     CateResult,
@@ -56,12 +57,13 @@ __all__ = [
     "minimal_backdoor_set",
     "CateResult",
     "DesignFactorization",
+    "GramFactorization",
     "LinearAdjustmentEstimator",
     "StratifiedEstimator",
     "build_factorization",
+    "build_rows_factorization",
     "estimate_cate",
-    "estimate_cate_batch",
-    "estimate_cate_level",
+    "estimate_level_rows",
     "pc_dag",
     "pc_skeleton",
     "one_layer_independent_dag",

@@ -24,15 +24,15 @@ the unique functional ``y ↦ t̃·y / t̃·t̃`` whenever ``t ∉ col(W)``, so 
 ``t`` row of ``X⁺`` is ``t̃ᵀ/(t̃·t̃)`` and ``(XᵀX)⁺_tt = 1/(t̃·t̃)`` — exactly
 what the scalar path reads off ``pinv``.
 
-:class:`DesignFactorization` captures ``Q``, the rank of ``W``, and the
-residualised outcome — computed once per (table, adjustment, outcome) and
-cacheable (see :class:`~repro.parallel.cache.EstimationCache`).
-:func:`estimate_cate_batch` residualises an ``(n, m)`` stack of treated
-masks in one GEMM pair and reads off all ``m`` estimates, standard errors
-and t-test p-values vectorised; :func:`estimate_cate_level` drives a whole
-lattice level — several adjustment groups over one treated-mask stack —
-through that machinery with the per-call fixed costs (dtype conversion,
-positivity screening, the t-tail evaluation) paid once.
+:class:`DesignFactorization` (a thin QR) and :class:`GramFactorization`
+(block-assembled normal equations, the fast path) capture the projector onto
+``col(W)``, its rank and the residualised outcome — computed once per
+(table, adjustment, outcome) and cacheable (see
+:class:`~repro.parallel.cache.EstimationCache`).
+:func:`estimate_level_rows` residualises a whole lattice level — an
+``(m, n)`` row stack of treated masks, grouped by adjustment set — in one
+GEMM pair per group and reads off all ``m`` estimates, standard errors and
+t-test p-values vectorised.
 
 Exactness contract
 ------------------
@@ -46,12 +46,13 @@ cover bit-identically fall back to the scalar ``ols()`` path per column:
 - a numerically perfect fit (RSS at rounding level), where the FWL RSS
   identity loses relative accuracy.
 
-Per-column determinism: each column's estimate is a pure function of that
-column, the factorization, and the *batch shape* — BLAS GEMM kernels round
-identically under column permutation at a fixed width, but not across
-different widths.  Callers that must be bit-reproducible across executors
-therefore key caches by the whole batch (see ``EstimationCache.level_key``),
-never by single columns computed inside different batches.
+Per-candidate determinism: each candidate's estimate is a pure function of
+its row, the factorization, and the *batch shape* — BLAS GEMM kernels round
+identically under row permutation at a fixed width, but not necessarily
+across different widths.  Callers that must be bit-reproducible across
+executors therefore key caches by the whole batch (see
+``EstimationCache.rows_level_key``), never by single candidates computed
+inside different batches.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ _DEGENERATE = "degenerate fit: no residual degrees of freedom"
 #: per-event hot site that fires on every factorization build.
 _ROUTE_KEYS = {
     route: f"route={route}"
-    for route in ("gram", "gram_subtracted", "gram_reduced", "qr", "qr_collinear")
+    for route in ("gram", "gram_reduced", "qr", "qr_collinear")
 }
 
 
@@ -343,14 +344,6 @@ def build_factorization(
     )
 
 
-def _resolve(factorization, table, outcome, adjustment) -> DesignFactorization:
-    if factorization is None:
-        return build_factorization(table, outcome, adjustment)
-    if callable(factorization):
-        return factorization()
-    return factorization
-
-
 @dataclass(frozen=True)
 class GramFactorization:
     """Normal-equations factorization of ``W`` for the row-major kernel.
@@ -392,8 +385,7 @@ def _merge_shard_arrays(table, stat) -> np.ndarray:
 
     The accumulation order is the fixed shard order, so the result is
     deterministic for a given shard layout regardless of who computes it
-    (serial, thread, or process workers) — the same composition contract
-    PR 5's frontier established.  One-hot cross products and column sums
+    (serial, thread, or process workers).  One-hot cross products and column sums
     are integer-valued, so their merge is *exact*; continuous entries are
     shard-order-deterministic floating sums.
     """
@@ -524,75 +516,21 @@ def _finish_gram(gram):
     return gram_inv
 
 
-def _subtracted_rows_factorization(
-    table: Table,
-    outcome: str,
-    adjustment: tuple[str, ...],
-    widths: list[int],
-    k: int,
-    donor: tuple[Table, Table],
-):
-    """Derive ``G = WᵀW`` from the partition identity ``G(parent) - G(sibling)``.
-
-    A grouping context's protected/non-protected sub-populations partition
-    its subtable, so one side's Gram blocks equal the parent's minus the
-    other side's — O(k²) subtractions against the parent's memoised pair
-    products instead of an O(n·k²) re-accumulation.  The caller attaches
-    the donor to the *larger* side (cheaper: the smaller side's direct
-    accumulation warms the sibling Grams; safer: derived entries are
-    comparable in magnitude to the parent's, bounding cancellation).
-    One-hot cross products are integer-valued counts, so their subtraction
-    is exact; continuous entries cancel at worst ~eps·|parent| — well
-    inside what the :data:`GRAM_RCOND_MIN` gate certifies.  Any doubt
-    (partition mismatch, non-positive derived diagonal, failed Cholesky,
-    rcond below the gate) returns None and the caller re-runs the standard
-    accumulate/QR routing, keeping certification and the bit-exact scalar
-    fallback unchanged.
-    """
-    parent, sibling = donor
-    n = table.n_rows
-    if parent.n_rows - sibling.n_rows != n:
-        return None  # not a partition; donor misuse
-    gram = _assemble_gram(parent, adjustment, widths, k)
-    gram -= _assemble_gram(sibling, adjustment, widths, k)
-    gram[0, 0] = float(n)
-    # Fast path only: a non-positive derived diagonal (category absent
-    # from this side, or a continuous column cancelling to rounding noise)
-    # goes back to the direct build, whose reduced-design slow path owns
-    # zero-column handling.
-    if not (gram.diagonal() > 0.0).all():
-        return None
-    gram_inv = _finish_gram(gram)
-    if gram_inv is None:
-        return None
-    w = _build_design_block(table, adjustment)
-    y = _outcome_vector(table, outcome)
+def _outcome_products(
+    table: Table, outcome: str, adjustment: tuple[str, ...], widths: list[int], k: int
+) -> np.ndarray:
+    """``Wᵀy`` assembled from the memoised per-attribute products."""
     wy = np.empty(k)
     wy[0] = _outcome_sum(table, outcome)
     offset = 1
     for name, width in zip(adjustment, widths):
         wy[offset : offset + width] = _outcome_block_products(table, outcome, name)
         offset += width
-    y_res = blas.dgemv(-1.0, w, gram_inv @ wy, beta=1.0, y=y.copy(), overwrite_y=1)
-    _count_route("gram_subtracted")
-    telemetry = obs_current()
-    if telemetry.enabled:
-        telemetry.registry.inc("factorization.gram_subtracted", 1)
-    return GramFactorization(
-        w=w,
-        gram_inv=gram_inv,
-        rank=k,
-        y_res=y_res,
-        y_res_sq=float(y_res @ y_res),
-        n=n,
-    )
+    return wy
 
 
 def build_rows_factorization(
-    table: Table,
-    outcome: str,
-    adjustment: tuple[str, ...] = (),
-    donor: tuple[Table, Table] | None = None,
+    table: Table, outcome: str, adjustment: tuple[str, ...] = ()
 ):
     """Factorize ``[1, Z-block]`` for the fused row-major kernel.
 
@@ -602,14 +540,6 @@ def build_rows_factorization(
     slow path that drops them off the Gram diagonal; any design the
     condition gate rejects falls back to the QR build, whose
     :class:`DesignFactorization` the kernel consumes interchangeably.
-
-    ``donor`` — a ``(parent, sibling)`` pair of tables partitioned by this
-    one — switches the Gram assembly to the subtraction identity
-    (:func:`_subtracted_rows_factorization`); any failure there falls
-    through to the standard routing above.  A subtraction-built
-    factorization's bits differ from a directly-accumulated one's (within
-    the rtol-1e-9 contract), so callers that cache results must key by the
-    donor's identity too (see ``EstimationCache.get_or_factorize_rows``).
     """
     n = table.n_rows
     if n == 0:
@@ -628,12 +558,6 @@ def build_rows_factorization(
     k = 1 + sum(widths)
     if k > n:
         return build_factorization(table, outcome, adjustment)
-    if donor is not None:
-        factorization = _subtracted_rows_factorization(
-            table, outcome, adjustment, widths, k, donor
-        )
-        if factorization is not None:
-            return factorization
     gram = _assemble_gram(table, adjustment, widths, k)
     if gram.diagonal().all():
         gram_inv = _finish_gram(gram)
@@ -641,14 +565,7 @@ def build_rows_factorization(
             return build_factorization(table, outcome, adjustment)
         w = _build_design_block(table, adjustment)
         y = _outcome_vector(table, outcome)
-        wy = np.empty(k)
-        wy[0] = _outcome_sum(table, outcome)
-        offset = 1
-        for name, width in zip(adjustment, widths):
-            wy[offset : offset + width] = _outcome_block_products(
-                table, outcome, name
-            )
-            offset += width
+        wy = _outcome_products(table, outcome, adjustment, widths, k)
         # One fused GEMV: y_res = y - W (G^-1 Wᵀy), accumulated in place.
         y_res = blas.dgemv(
             -1.0, w, gram_inv @ wy, beta=1.0, y=y.copy(), overwrite_y=1
@@ -681,15 +598,7 @@ def build_rows_factorization(
         return build_factorization(table, outcome, adjustment)
     y = _outcome_vector(table, outcome)
     w = np.ascontiguousarray(_build_design_block(table, adjustment)[:, nonzero])
-    wy_full = np.empty(k)
-    wy_full[0] = _outcome_sum(table, outcome)
-    offset = 1
-    for name, width in zip(adjustment, widths):
-        wy_full[offset : offset + width] = _outcome_block_products(
-            table, outcome, name
-        )
-        offset += width
-    wy = wy_full[keep]
+    wy = _outcome_products(table, outcome, adjustment, widths, k)[keep]
     y_res = blas.dgemv(-1.0, w, gram_inv @ wy, beta=1.0, y=y.copy(), overwrite_y=1)
     _count_route("gram_reduced")
     return GramFactorization(
@@ -702,187 +611,6 @@ def build_rows_factorization(
     )
 
 
-def estimate_cate_level(
-    table: Table,
-    treated_matrix: np.ndarray,
-    outcome: str,
-    adjustments: Sequence[tuple[str, ...]],
-    factorization_for=None,
-) -> list[CateResult]:
-    """Estimate one CATE per column for a whole lattice level.
-
-    Columns may use different adjustment sets (``adjustments[j]`` belongs
-    to column ``j``); columns sharing a set form one FWL group and ride the
-    same GEMM pair.  The per-call fixed costs — boolean screening, the
-    float64 conversion of the mask stack, the vectorised t-tail — are paid
-    once for the level rather than once per group.
-
-    Parameters
-    ----------
-    table:
-        The conditioning subpopulation.
-    treated_matrix:
-        ``(n, m)`` boolean stack of treated masks.
-    outcome:
-        Continuous outcome attribute name.
-    adjustments:
-        Per-column adjustment tuples (``len == m``).
-    factorization_for:
-        Optional ``adjustment -> DesignFactorization`` callable (e.g. a
-        cache lookup); invoked once per group that has at least one column
-        passing the positivity screen.
-
-    Returns
-    -------
-    list[CateResult]
-        One result per column, each identical (to working precision, or
-        bit-identical on fallback paths) to the scalar estimator's answer
-        for that column alone.
-    """
-    if treated_matrix.dtype != np.bool_:
-        treated_matrix = np.asarray(treated_matrix, dtype=bool)
-    if treated_matrix.ndim != 2:
-        raise EstimationError(
-            f"treated_matrix must be 2-D (n, m), got shape {treated_matrix.shape}"
-        )
-    n, m = treated_matrix.shape
-    if n != table.n_rows:
-        raise EstimationError(
-            f"treated_matrix rows {n} != table rows {table.n_rows}"
-        )
-    if len(adjustments) != m:
-        raise EstimationError(
-            f"{len(adjustments)} adjustment tuples for {m} columns"
-        )
-    if m == 0:
-        return []
-
-    n_treated_arr = treated_matrix.sum(axis=0)
-    n_treated = n_treated_arr.tolist()
-    results: list[CateResult | None] = [None] * m
-
-    if 0 in n_treated or n in n_treated:
-        for j in range(m):
-            if n_treated[j] == 0 or n_treated[j] == n:
-                results[j] = CateResult.invalid(
-                    _POSITIVITY,
-                    n=n,
-                    n_treated=n_treated[j],
-                    n_control=n - n_treated[j],
-                    adjustment=tuple(adjustments[j]),
-                )
-
-    # First-seen grouping by adjustment set: deterministic given the level.
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for j in range(m):
-        if results[j] is None:
-            groups.setdefault(tuple(adjustments[j]), []).append(j)
-    if not groups:
-        return results  # type: ignore[return-value]
-
-    t_all: np.ndarray | None = None
-    # Deferred t-tests: (column, estimate, stderr) plus parallel dof array.
-    pending: list[tuple[int, float, float]] = []
-    pending_dof: list[int] = []
-
-    with obs_current().tracer.span(
-        "estimation.level", kernel="columns", columns=m, groups=len(groups)
-    ):
-        for adjustment, cols in groups.items():
-            factorization = _resolve(
-                factorization_for(adjustment) if factorization_for else None,
-                table,
-                outcome,
-                adjustment,
-            )
-            if factorization.degenerate:
-                _count_scalar_fallbacks("columns", "collinear_design", len(cols))
-                for j in cols:
-                    results[j] = _SCALAR_FALLBACK.estimate(
-                        table, treated_matrix[:, j], outcome, adjustment
-                    )
-                continue
-
-            if t_all is None:
-                t_all = treated_matrix.astype(np.float64)
-            t_mat = t_all[:, cols] if len(cols) != m else t_all
-            q = factorization.q
-            y_res = factorization.y_res
-            dof = n - factorization.rank - 1
-
-            # The one GEMM pair of the group: project out col(W).
-            t_res = t_mat - q @ (q.T @ t_mat)
-            # Column-wise reductions (einsum stays off BLAS: per-column sums
-            # are bit-identical regardless of batch width).
-            tt = np.einsum("ij,ij->j", t_res, t_res)
-            ty = np.einsum("ij,i->j", t_res, y_res)
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                estimates = ty / tt
-                rss = factorization.y_res_sq - ty * ty / tt
-                stderrs = np.sqrt((rss / max(dof, 1)) / tt)
-
-            # ‖t‖² of a boolean mask is its treated count.
-            fallback = tt <= RESIDUAL_TOL * n_treated_arr[cols].astype(np.float64)
-            # A numerically perfect fit makes the FWL RSS identity cancel
-            # catastrophically; defer to the scalar residual computation.
-            fallback |= rss <= PERFECT_FIT_TOL * max(factorization.y_res_sq, 1.0)
-            degenerate_fit = (dof <= 0) | ~np.isfinite(stderrs) | (stderrs == 0.0)
-
-            if obs_current().enabled:
-                _count_scalar_fallbacks(
-                    "columns", "identity_guard", int(np.count_nonzero(fallback))
-                )
-                _count_degenerate_fits(
-                    "columns", int(np.count_nonzero(degenerate_fit & ~fallback))
-                )
-
-            bad = (fallback | degenerate_fit).tolist()
-            fallback_l = fallback.tolist()
-            estimates_l = estimates.tolist()
-            stderrs_l = stderrs.tolist()
-            for pos, j in enumerate(cols):
-                if bad[pos]:
-                    if fallback_l[pos]:
-                        # t numerically inside col(W) (the full design is rank
-                        # deficient) or a perfect fit: the scalar path defines
-                        # the answer bit-for-bit.
-                        results[j] = _SCALAR_FALLBACK.estimate(
-                            table, treated_matrix[:, j], outcome, adjustment
-                        )
-                    else:
-                        results[j] = CateResult.invalid(
-                            _DEGENERATE,
-                            n=n,
-                            n_treated=n_treated[j],
-                            n_control=n - n_treated[j],
-                            adjustment=adjustment,
-                        )
-                else:
-                    pending.append((j, estimates_l[pos], stderrs_l[pos]))
-                    pending_dof.append(dof)
-
-    if pending:
-        t_stats = np.array([est / se for _, est, se in pending])
-        # scipy.special.stdtr is what stats.t.sf evaluates, sans the
-        # distribution machinery: one vectorised call for the whole level,
-        # bit-identical to the per-candidate spelling.
-        p_values = (
-            2.0 * special.stdtr(np.array(pending_dof, dtype=np.float64), -np.abs(t_stats))
-        ).tolist()
-        for (j, estimate, stderr), p_value in zip(pending, p_values):
-            results[j] = CateResult(
-                estimate=estimate,
-                stderr=stderr,
-                p_value=p_value,
-                n=n,
-                n_treated=n_treated[j],
-                n_control=n - n_treated[j],
-                adjustment=tuple(adjustments[j]),
-            )
-    return results  # type: ignore[return-value]
-
-
 def estimate_level_rows(
     table: Table,
     treated_rows: np.ndarray,
@@ -892,35 +620,37 @@ def estimate_level_rows(
     float_rows: np.ndarray | None = None,
     counts: np.ndarray | None = None,
 ) -> list[CateResult]:
-    """Row-major fused spelling of :func:`estimate_cate_level`.
+    """Estimate one CATE per candidate row for a whole lattice level.
 
-    The frontier batcher's level kernel.  Candidates arrive as an ``(m, n)``
-    *row-major* stack — the layout packed bitsets unpack into for free
-    (:func:`repro.mining.bitsets.unpack_rows`) — which makes every
-    per-candidate reduction run over a contiguous row instead of a strided
-    column: the two sums the FWL identities need are ~5x faster than the
-    column-layout einsums of the reference kernel at mining shapes, and the
-    projection GEMM pair is simply transposed (``T Q`` then ``- (T Q) Qᵀ``).
+    The Step-2 level kernel.  Candidates arrive as an ``(m, n)`` *row-major*
+    stack — the layout packed bitsets unpack into for free
+    (:func:`repro.mining.bitsets.unpack_rows`) — so every per-candidate
+    reduction runs over a contiguous row and the projection GEMM pair is
+    ``T W`` then ``- (T W G⁻¹) Wᵀ`` (or ``T Q`` then ``- (T Q) Qᵀ`` on the
+    QR route).  Rows may use different adjustment sets
+    (``adjustments[j]`` belongs to row ``j``); rows sharing a set form one
+    FWL group and ride the same GEMM pair.
 
-    Two further fixed costs are hoisted out relative to the reference:
+    Two fixed costs are hoisted out to the caller:
 
     - ``float_rows`` lets the caller convert the boolean stack to float64
-      **once per level** and share the row-sliced result across the three
-      sub-population calls (overall / protected / non-protected) instead of
-      re-converting each sub-population's stack;
+      **once per level** and share it across sub-population calls;
     - ``counts`` lets the caller pass popcount-derived treated counts (the
-      bitset kernel computes them anyway for support pruning), replacing
-      the per-call boolean column sums.
+      bitset layer computes them anyway for support pruning), replacing
+      the per-call boolean row sums.
 
-    Exactness: the positivity screen, grouping, degenerate routing, the
-    scalar ``ols()`` fallback (bit-identical by construction) and every
-    elementwise identity are those of :func:`estimate_cate_level`; only the
-    GEMM/reduction shapes differ, so non-degenerate estimates agree with
-    the reference — and hence with the scalar path — to working precision
-    (the same rtol-1e-9 differential contract).  Per-column bits remain a
-    pure function of the batch content, never of how many *other* requests
-    share an estimation round, which is what keeps frontier batching
-    composition-independent (serial ≡ process at any chunking).
+    ``factorization_for`` is an optional ``adjustment -> factorization``
+    callable (e.g. a cache lookup), invoked once per group with at least
+    one row passing the positivity screen.
+
+    Exactness: results agree with the scalar
+    :meth:`~repro.causal.estimators.LinearAdjustmentEstimator.estimate` to
+    working precision (rtol 1e-9, differentially tested); the positivity
+    screen, degenerate designs and the identity guards take the scalar
+    ``ols()`` path and match it bit for bit.  Per-row bits are a pure
+    function of the batch content, so a level's results never depend on
+    which other grouping patterns were mined before it or by which worker
+    (serial ≡ process at any chunking).
     """
     treated_rows = np.asarray(treated_rows, dtype=bool)
     if treated_rows.ndim != 2:
@@ -1083,261 +813,3 @@ def estimate_level_rows(
             adjustment=tuple(adjustments[j]),
         )
     return results  # type: ignore[return-value]
-
-
-class _MergedEntry:
-    """One request's screening state inside :func:`estimate_rows_merged`."""
-
-    __slots__ = ("table", "treated_rows", "float_rows", "counts", "n_treated", "results")
-
-    def __init__(self, table, treated_rows, float_rows, counts, n_treated, results):
-        self.table = table
-        self.treated_rows = treated_rows
-        self.float_rows = float_rows
-        self.counts = counts
-        self.n_treated = n_treated
-        self.results = results
-
-
-def estimate_rows_merged(tasks, outcome: str) -> None:
-    """One merged estimation pass over a whole frontier round (throughput mode).
-
-    ``tasks`` is a sequence of ``(request, factorization_for)`` pairs where
-    ``request`` duck-types the frontier's sub-requests
-    (:class:`repro.rules.utility._SubRequest`): ``table``, an ``(m, n)``
-    boolean ``treated_rows`` stack, optional ``float_rows``/``counts``, a
-    per-row ``effective`` adjustment list, and a ``results`` slot this
-    function fills in place.  Rows from *different* requests that share a
-    (table content, adjustment set) pair are concatenated into one wider
-    GEMM pair — one projection per bucket instead of one per (context,
-    sub-population, adjustment) — and the elementwise FWL tail plus the
-    t-test run once over the entire round.
-
-    Contract: merged batch widths change per-column GEMM rounding, so
-    results are NOT bit-identical to :func:`estimate_level_rows` — this is
-    the deliberate trade of ``FairCapConfig.throughput_mode``, certified by
-    the 36-world scenario oracle (rtol bands + planted-ruleset recovery)
-    instead of the differential suite.  Everything discrete is unchanged:
-    the positivity screen, first-seen grouping, degenerate routing and the
-    bit-exact scalar ``ols()`` fallback are those of the per-request
-    kernel.
-    """
-    # Stage 1 — per-request screening and grouping, no estimation yet.
-    entries: list[_MergedEntry] = []
-    # (fingerprint, n, adjustment) -> [(entry index, cols), ...]; same
-    # content + same adjustment => same factorization up to provenance
-    # bits, so one bucket = one projection at the concatenated width.
-    buckets: dict[tuple, list[tuple[int, list[int]]]] = {}
-    providers: list = []
-    for request, factorization_for in tasks:
-        treated_rows = np.asarray(request.treated_rows, dtype=bool)
-        m, n = treated_rows.shape
-        table = request.table
-        if n != table.n_rows:
-            raise EstimationError(
-                f"treated_rows columns {n} != table rows {table.n_rows}"
-            )
-        adjustments = request.effective
-        counts = request.counts
-        counts = treated_rows.sum(axis=1) if counts is None else np.asarray(counts)
-        n_treated = [int(c) for c in counts]
-        results: list[CateResult | None] = [None] * m
-        for j in range(m):
-            if n_treated[j] == 0 or n_treated[j] == n:
-                results[j] = CateResult.invalid(
-                    _POSITIVITY,
-                    n=n,
-                    n_treated=n_treated[j],
-                    n_control=n - n_treated[j],
-                    adjustment=tuple(adjustments[j]),
-                )
-        request.results = results
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for j in range(m):
-            if results[j] is None:
-                groups.setdefault(tuple(adjustments[j]), []).append(j)
-        if not groups:
-            continue
-        float_rows = request.float_rows
-        if float_rows is None:
-            float_rows = treated_rows.astype(np.float64)
-        index = len(entries)
-        entries.append(
-            _MergedEntry(table, treated_rows, float_rows, counts, n_treated, results)
-        )
-        providers.append(factorization_for)
-        fingerprint = table.fingerprint()
-        for adjustment, cols in groups.items():
-            buckets.setdefault((fingerprint, n, adjustment), []).append((index, cols))
-
-    if not buckets:
-        return
-
-    # Stage 2 — one factorization + one GEMM pair per bucket, results
-    # accumulated into flat per-column arrays for the single shared tail.
-    act: list[tuple[int, int]] = []  # (entry index, column) per tail slot
-    act_adjustment: list[tuple[str, ...]] = []  # per bucket
-    bucket_widths: list[int] = []
-    bucket_dof: list[float] = []
-    bucket_ysq: list[float] = []
-    tt_parts: list[np.ndarray] = []
-    ty_parts: list[np.ndarray] = []
-    count_parts: list[np.ndarray] = []
-
-    with obs_current().tracer.span(
-        "estimation.round",
-        kernel="merged",
-        requests=len(tasks),
-        buckets=len(buckets),
-    ):
-        for (_, n, adjustment), members in buckets.items():
-            first_index = members[0][0]
-            factorization = providers[first_index](adjustment)
-            if factorization.degenerate:
-                total = sum(len(cols) for _, cols in members)
-                _count_scalar_fallbacks("merged", "collinear_design", total)
-                for index, cols in members:
-                    entry = entries[index]
-                    for j in cols:
-                        entry.results[j] = _SCALAR_FALLBACK.estimate(
-                            entry.table, entry.treated_rows[j], outcome, adjustment
-                        )
-                continue
-
-            parts = []
-            for index, cols in members:
-                float_rows = entries[index].float_rows
-                parts.append(
-                    float_rows[cols] if len(cols) != float_rows.shape[0] else float_rows
-                )
-            t_rows = parts[0] if len(parts) == 1 else np.vstack(parts)
-            if isinstance(factorization, GramFactorization):
-                projected = (t_rows @ factorization.w) @ factorization.gram_inv
-                t_res = t_rows - projected @ factorization.w.T
-            else:
-                q = factorization.q
-                t_res = t_rows - (t_rows @ q) @ q.T
-            tt_parts.append(np.einsum("ij,ij->i", t_res, t_res))
-            ty_parts.append(np.einsum("ij,j->i", t_res, factorization.y_res))
-            for index, cols in members:
-                act.extend((index, j) for j in cols)
-                count_parts.append(entries[index].counts[cols])
-            act_adjustment.append(adjustment)
-            bucket_widths.append(sum(len(cols) for _, cols in members))
-            bucket_dof.append(float(n - factorization.rank - 1))
-            bucket_ysq.append(factorization.y_res_sq)
-
-    if not act:
-        return
-
-    telemetry = obs_current()
-    if telemetry.enabled:
-        telemetry.registry.inc("estimation.merged_columns", len(act))
-
-    tt = np.concatenate(tt_parts) if len(tt_parts) > 1 else tt_parts[0]
-    ty = np.concatenate(ty_parts) if len(ty_parts) > 1 else ty_parts[0]
-    sizes = np.asarray(bucket_widths)
-    dof_col = np.repeat(np.asarray(bucket_dof), sizes)
-    ysq_col = np.repeat(np.asarray(bucket_ysq), sizes)
-    act_counts = np.concatenate(count_parts).astype(np.float64)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimates = ty / tt
-        rss = ysq_col - ty * ty / tt
-        stderrs = np.sqrt((rss / np.maximum(dof_col, 1.0)) / tt)
-        fallback = tt <= RESIDUAL_TOL * act_counts
-        fallback |= rss <= PERFECT_FIT_TOL * np.maximum(ysq_col, 1.0)
-        degenerate_fit = (dof_col <= 0) | ~np.isfinite(stderrs) | (stderrs == 0.0)
-        t_stats = estimates / stderrs
-        p_values = 2.0 * special.stdtr(dof_col, -np.abs(t_stats))
-
-    if telemetry.enabled:
-        _count_scalar_fallbacks(
-            "merged", "identity_guard", int(np.count_nonzero(fallback))
-        )
-        _count_degenerate_fits(
-            "merged", int(np.count_nonzero(degenerate_fit & ~fallback))
-        )
-
-    bad = fallback | degenerate_fit
-    adj_col = np.repeat(np.arange(len(act_adjustment)), sizes)
-    est_l = estimates.tolist()
-    se_l = stderrs.tolist()
-    p_l = p_values.tolist()
-    bad_l = bad.tolist()
-    fallback_l = fallback.tolist()
-    for pos, (index, j) in enumerate(act):
-        entry = entries[index]
-        adjustment = act_adjustment[adj_col[pos]]
-        n = entry.table.n_rows
-        if bad_l[pos]:
-            if fallback_l[pos]:
-                entry.results[j] = _SCALAR_FALLBACK.estimate(
-                    entry.table, entry.treated_rows[j], outcome, adjustment
-                )
-            else:
-                entry.results[j] = CateResult.invalid(
-                    _DEGENERATE,
-                    n=n,
-                    n_treated=entry.n_treated[j],
-                    n_control=n - entry.n_treated[j],
-                    adjustment=adjustment,
-                )
-        else:
-            entry.results[j] = CateResult(
-                estimate=est_l[pos],
-                stderr=se_l[pos],
-                p_value=p_l[pos],
-                n=n,
-                n_treated=entry.n_treated[j],
-                n_control=n - entry.n_treated[j],
-                adjustment=adjustment,
-            )
-
-
-def estimate_cate_batch(
-    table: Table,
-    treated_matrix: np.ndarray,
-    outcome: str,
-    adjustment: tuple[str, ...] = (),
-    factorization=None,
-) -> list[CateResult]:
-    """Estimate one CATE per column of ``treated_matrix`` in one GEMM pair.
-
-    Single-adjustment-set spelling of :func:`estimate_cate_level` (the
-    whole stack shares ``adjustment``).
-
-    Parameters
-    ----------
-    table:
-        The conditioning subpopulation (rows already restricted).
-    treated_matrix:
-        ``(n, m)`` boolean array; column ``j`` is candidate ``j``'s treated
-        mask.  ``m = 0`` returns an empty list.
-    outcome:
-        Continuous outcome attribute name.
-    adjustment:
-        Confounder attributes (a backdoor set).
-    factorization:
-        Optional pre-built :func:`build_factorization` result for
-        ``(table, outcome, adjustment)`` — or a zero-argument callable
-        producing one, invoked only if some column survives the positivity
-        screen.  Built on the fly when omitted.
-    """
-    treated_matrix = np.asarray(treated_matrix, dtype=bool)
-    if treated_matrix.ndim != 2:
-        raise EstimationError(
-            f"treated_matrix must be 2-D (n, m), got shape {treated_matrix.shape}"
-        )
-    m = treated_matrix.shape[1]
-    adjustment = tuple(adjustment)
-    provider = None
-    if factorization is not None:
-        provider = lambda _adj: factorization  # noqa: E731 - tiny adaptor
-    return estimate_cate_level(
-        table,
-        treated_matrix,
-        outcome,
-        [adjustment] * m,
-        factorization_for=provider,
-    )

@@ -239,54 +239,6 @@ class LinearAdjustmentEstimator:
             adjustment=adjustment,
         )
 
-    def estimate_batch(
-        self,
-        table: Table,
-        treated_matrix: np.ndarray,
-        outcome: str,
-        adjustment: tuple[str, ...] = (),
-        factorization=None,
-    ) -> list[CateResult]:
-        """Estimate one CATE per column of ``treated_matrix`` (batched FWL).
-
-        Delegates to :func:`repro.causal.batch.estimate_cate_batch`: the
-        shared ``[1, Z]`` block is factorized once (or taken pre-built from
-        ``factorization``) and every column is read off the residualised
-        stack — results agree with :meth:`estimate` per column to working
-        precision, bit-identically on degenerate fallbacks.
-        """
-        from repro.causal.batch import estimate_cate_batch
-
-        return estimate_cate_batch(
-            table,
-            treated_matrix,
-            outcome,
-            adjustment,
-            factorization=factorization,
-        )
-
-    def estimate_level(
-        self,
-        table: Table,
-        treated_matrix: np.ndarray,
-        outcome: str,
-        adjustments,
-        factorization_for=None,
-    ) -> list[CateResult]:
-        """Batched FWL over a whole lattice level (per-column adjustments).
-
-        Delegates to :func:`repro.causal.batch.estimate_cate_level`.
-        """
-        from repro.causal.batch import estimate_cate_level
-
-        return estimate_cate_level(
-            table,
-            treated_matrix,
-            outcome,
-            adjustments,
-            factorization_for=factorization_for,
-        )
-
     def estimate_level_rows(
         self,
         table: Table,
@@ -297,12 +249,12 @@ class LinearAdjustmentEstimator:
         float_rows: np.ndarray | None = None,
         counts: np.ndarray | None = None,
     ) -> list[CateResult]:
-        """Row-major fused level kernel (the frontier batcher's entry point).
+        """Batched FWL estimation of a whole lattice level (row-major stack).
 
         Delegates to :func:`repro.causal.batch.estimate_level_rows`; the
-        presence of this method is what gates frontier batching onto an
-        estimator (:class:`StratifiedEstimator` has no batched path and
-        ignores the frontier flags).
+        presence of this method is what routes Step 2 onto the batched
+        engine (:class:`StratifiedEstimator` has none and always takes the
+        scalar per-candidate path).
         """
         from repro.causal.batch import estimate_level_rows
 

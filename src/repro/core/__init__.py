@@ -13,6 +13,7 @@ from repro.core.grouping import mine_grouping_patterns
 from repro.core.intervention import (
     InterventionMiningResult,
     intervention_items,
+    mine_grouping,
     mine_intervention,
     mine_interventions_for_groups,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "mine_grouping_patterns",
     "InterventionMiningResult",
     "intervention_items",
+    "mine_grouping",
     "mine_intervention",
     "mine_interventions_for_groups",
     "BruteForceResult",

@@ -79,49 +79,17 @@ class FairCapConfig:
         caching.  Caching never changes results, only latency.
     batch_estimation:
         Route Step-2 lattice levels through the batched FWL estimation
-        engine (:mod:`repro.causal.batch`): one GEMM per level instead of
-        one OLS per candidate.  ``False`` selects the scalar per-candidate
+        engine (:mod:`repro.causal.batch`).  Each grouping pattern is mined
+        to completion on its own; per lattice level, candidate masks are
+        AND-composed from packed item bitsets, zero-support candidates are
+        popcount-pruned, the *overall* batch is estimated in one GEMM pair
+        per adjustment set, and protected / non-protected batches only for
+        the kept candidates.  ``False`` selects the scalar per-candidate
         path — the differential reference the batch engine is tested
         against.  Only the linear-adjustment estimator has a batched path;
         other estimators ignore the flag.  Mined rulesets are identical
         either way (estimates agree to working precision; degenerate
         candidates take the scalar path bit-identically).
-    bitset_masks:
-        Compose Step-2 candidate masks from packed per-predicate bitsets
-        (:mod:`repro.mining.bitsets`) — one AND over ``n/64`` words per
-        item instead of re-evaluating predicates per candidate — and prune
-        zero-support candidates by popcount *before* any estimation.
-        ``False`` re-evaluates boolean masks per candidate (the
-        differential reference).  Pruned candidates' results are
-        synthesized exactly as estimation would reject them, so rulesets
-        are bit-identical either way.  Only affects the batched path.
-    frontier_batching:
-        Run Step 2 as a multi-context *frontier*: level k+1 of every
-        grouping-pattern context in an executor's scope is collected into
-        one estimation round (:func:`repro.core.intervention.mine_interventions_frontier`),
-        each sub-population's boolean stack is converted to float exactly
-        once per level, and the round runs through the fused row-major
-        kernel (:func:`repro.causal.batch.estimate_level_rows`).
-        Estimation batches stay per (context, sub-population, adjustment
-        set) and cache keys keep level granularity, so results are
-        identical across executors, worker counts and chunkings
-        (serial ≡ process bit-identity).  ``False`` selects the PR-3-style
-        per-context engine — the differential reference; estimates agree
-        to working precision (rtol 1e-9), rulesets are identical.
-        Requires ``batch_estimation``; estimators without a batched path
-        ignore it.
-    gram_subtraction:
-        Derive the larger protected/non-protected sub-population's Gram
-        matrix ``WᵀW`` by subtracting the smaller side's from the parent
-        subtable's memoised Gram (the two sides partition the subtable)
-        instead of re-accumulating pair products —
-        :func:`repro.causal.batch.build_rows_factorization`.  Guarded by
-        the existing ``rcond >= 1e-3`` condition gate with QR fallback, so
-        certification and the bit-exact scalar fallback are unchanged;
-        results stay inside the rtol-1e-9 batch ≡ scalar contract and are
-        bit-identical across executors (the donor choice is a pure
-        function of the context's row split).  ``False`` selects the
-        direct re-accumulation — the differential reference.
     shared_memory:
         Publish the root table's float64 design-block/Gram buffers into a
         ``multiprocessing.shared_memory`` segment before a process-pool
@@ -131,16 +99,6 @@ class FairCapConfig:
         the flag on or off; any attach failure falls back to the rebuild
         path (counted under ``shm.fallbacks``).  Only affects the process
         executor.
-    throughput_mode:
-        Merge each frontier round's estimation batches *across* grouping
-        contexts into shared GEMMs and skip result-cache digests
-        (:meth:`repro.rules.utility.RuleEvaluator.estimate_requests_merged`).
-        Merged batch widths change per-column GEMM rounding, so this mode
-        explicitly trades the serial ≡ process bit-identity contract for
-        speed in the many-tiny-contexts regime; it is certified by the
-        36-world scenario oracle (rtol bands + planted-ruleset recovery)
-        instead of the differential suite.  Off by default; requires
-        ``batch_estimation`` and ``frontier_batching``.
     max_chunk_retries:
         How many times a failed mining chunk (worker death, injected
         fault, chunk timeout) is re-executed before degrading to
@@ -219,11 +177,7 @@ class FairCapConfig:
     # hundred bytes each) so cross-variant reuse survives the LRU.
     cache_size: int = 65_536
     batch_estimation: bool = True
-    bitset_masks: bool = True
-    frontier_batching: bool = True
-    gram_subtraction: bool = True
     shared_memory: bool = True
-    throughput_mode: bool = False
     max_chunk_retries: int = 2
     chunk_timeout_seconds: float | None = None
     retry_backoff_seconds: float = 0.05
@@ -270,13 +224,6 @@ class FairCapConfig:
             raise ConfigError("n_workers must be >= 0 (0 = all visible CPUs)")
         if self.cache_size < 0:
             raise ConfigError("cache_size must be >= 0 (0 disables caching)")
-        if self.throughput_mode and not (
-            self.batch_estimation and self.frontier_batching
-        ):
-            raise ConfigError(
-                "throughput_mode requires batch_estimation and "
-                "frontier_batching (it merges frontier rounds)"
-            )
         if self.shard_rows is not None and self.shard_rows < 1:
             raise ConfigError("shard_rows must be >= 1 or None")
         if self.shard_dir is not None and self.shard_rows is None:

@@ -253,9 +253,8 @@ class FairCap:
                         "n_grouping_patterns": len(grouping_patterns),
                         "n_rules": len(greedy.ruleset),
                         "nodes_evaluated": nodes_evaluated,
-                        "gram_subtraction": config.gram_subtraction,
+                        "batch_estimation": config.batch_estimation,
                         "shared_memory": config.shared_memory,
-                        "throughput_mode": config.throughput_mode,
                         "timings": timer.as_dict(),
                     },
                 )

@@ -15,14 +15,21 @@ The best treatment for the grouping pattern is then chosen by *benefit*:
 - individual fairness (SP or BGL): only treatments that themselves satisfy
   the per-rule constraint are eligible; among them, highest CATE wins.
 
-Implementation notes: the paper's optimisation (i) — discarding mutable
-attributes with no causal path to the outcome — is applied when building the
-item list; optimisation (ii) (parallelism across grouping patterns) is
-available through :mod:`repro.parallel` — pass an executor to
-:func:`mine_interventions_for_groups` (or set ``FairCapConfig.executor`` /
-``n_workers``).  The serial executor remains the default so the Figure 3/4
-runtime shapes reflect algorithmic work rather than process-pool noise, and
-the differential suite guarantees all executors return identical rules.
+Implementation notes: every grouping pattern's lattice is mined to
+completion, one pattern at a time, by :func:`mine_intervention` (Algorithm
+1's loop), so at most one :class:`~repro.rules.utility.GroupEvaluationContext`
+per worker is alive at any moment.  With the linear estimator each lattice
+level is one batched estimation pass (:mod:`repro.causal.batch`); the
+scalar per-candidate path (``batch_estimation=False`` or the stratified
+estimator) is the differential reference.  The paper's optimisation (i) —
+discarding mutable attributes with no causal path to the outcome — is
+applied when building the item list; optimisation (ii) (parallelism across
+grouping patterns) is available through :mod:`repro.parallel` — pass an
+executor to :func:`mine_interventions_for_groups` (or set
+``FairCapConfig.executor`` / ``n_workers``).  The serial executor remains
+the default so the Figure 3/4 runtime shapes reflect algorithmic work
+rather than process-pool noise, and the differential suite guarantees all
+executors return identical rules.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from repro.causal.dag import CausalDAG
 from repro.core.config import FairCapConfig
 from repro.fairness.benefit import benefit
 from repro.mining.apriori import build_items
-from repro.mining.lattice import LatticeNode, LatticeWalk, traverse_lattice
+from repro.mining.lattice import LatticeNode, traverse_lattice
 from repro.mining.patterns import Pattern
 from repro.obs.runtime import current as obs_current
 from repro.rules.rule import PrescriptionRule
@@ -101,8 +108,9 @@ def _make_decider(config: FairCapConfig):
 
     Delegates to :func:`repro.rules.utility.keep_candidate` (a rule's
     utility is ``usable(overall)``, so testing the overall estimate is the
-    same predicate) — the frontier's phase-2 planning uses the identical
-    helper, keeping both engines on the same lattice by construction.
+    same predicate) — the batched engine's phase-2 planning uses the
+    identical helper, keeping both paths on the same lattice by
+    construction.
     """
     alpha = config.significance_alpha
 
@@ -117,7 +125,7 @@ def _select_best(
 ) -> PrescriptionRule | None:
     """Pick one grouping pattern's best treatment (Sec. 5.2 / 5.4).
 
-    Shared by the per-context and frontier paths so their selection logic
+    Shared by the batched and scalar paths so their selection logic
     cannot drift: matroid (individual-fairness) variants filter to
     per-rule-satisfying treatments and take the highest utility; everything
     else maximises the variant's benefit function.
@@ -134,22 +142,55 @@ def _select_best(
     return max(eligible, key=lambda r: benefit(r, fairness))
 
 
-def _batched_path_available(config: FairCapConfig, evaluator: RuleEvaluator) -> bool:
-    return config.batch_estimation and hasattr(evaluator.estimator, "estimate_level")
-
-
-#: Maximum grouping-pattern contexts alive in one frontier (memory bound;
-#: windowing is result-invariant — see frontier_mine_patterns).
-FRONTIER_WINDOW = 64
-
-
-def frontier_enabled(config: FairCapConfig, evaluator: RuleEvaluator) -> bool:
-    """Whether Step 2 should run through the multi-context frontier batcher."""
-    return (
-        config.frontier_batching
-        and config.batch_estimation
-        and hasattr(evaluator.estimator, "estimate_level_rows")
+def batched_path_available(config: FairCapConfig, evaluator: RuleEvaluator) -> bool:
+    """Whether Step 2 runs on the batched engine (else the scalar path)."""
+    return config.batch_estimation and hasattr(
+        evaluator.estimator, "estimate_level_rows"
     )
+
+
+def _estimate_level(
+    context: GroupEvaluationContext, patterns: list[Pattern], alpha
+) -> list[tuple[bool, PrescriptionRule]]:
+    """One lattice level through the batched engine, in two phases.
+
+    ``begin_level`` composes the level's stacks and popcount-prunes dead
+    candidates; phase 1 estimates the *overall* batch, which is all the
+    keep decision needs; phase 2 estimates protected / non-protected
+    batches for the kept candidates only.
+    """
+    evaluator = context.evaluator
+    work = context.begin_level(patterns)
+    overall = work.requests
+    evaluator.estimate_requests(overall)
+    followup = work.followup(alpha)
+    evaluator.estimate_requests(followup)
+    telemetry = obs_current()
+    if telemetry.enabled and patterns:
+        _count_level(telemetry.registry, work, overall, followup)
+    return work.finish()
+
+
+def _count_level(registry, work, overall, followup) -> None:
+    """Per-level mining counters (all deterministic).
+
+    Popcount-pruned candidates, and the columns actually estimated in each
+    phase, are pure functions of the context's own level content, so
+    process-pool merges reproduce a serial run's totals exactly.
+    """
+    level = len(work.interventions[0].attributes)
+    if work.pruned:
+        registry.inc("mining.pruned", len(work.pruned), deterministic=True, level=level)
+    for phase, requests in (("overall", overall), ("subpopulation", followup)):
+        columns = sum(request.treated_rows.shape[0] for request in requests)
+        if columns:
+            registry.inc(
+                "mining.estimated_columns",
+                columns,
+                deterministic=True,
+                phase=phase,
+                level=level,
+            )
 
 
 def mine_intervention(
@@ -158,7 +199,7 @@ def mine_intervention(
     config: FairCapConfig,
     lattice_executor=None,
 ) -> InterventionMiningResult:
-    """Run the Step-2 lattice search for one grouping pattern.
+    """Run the Step-2 lattice search for one grouping pattern to completion.
 
     Parameters
     ----------
@@ -172,30 +213,26 @@ def mine_intervention(
         benefit function.
     lattice_executor:
         Optional in-process executor (serial/thread) used to evaluate each
-        lattice level's candidate batch concurrently; results are identical
-        to the serial traversal (see :func:`repro.mining.lattice.traverse_lattice`).
-        Moot under the batched estimation engine, which already consumes a
-        level at a time.
+        lattice level's candidates concurrently on the scalar path; results
+        are identical to the serial traversal (see
+        :func:`repro.mining.lattice.traverse_lattice`).  Moot under the
+        batched engine, which already consumes a level at a time.
     """
-    decide = _make_decider(config)
-
-    def evaluate(pattern: Pattern) -> tuple[bool, PrescriptionRule]:
-        return decide(context.evaluate(pattern))
-
-    evaluate_many = None
-    if _batched_path_available(config, context.evaluator):
-        # Batched FWL engine: one GEMM per lattice level instead of one OLS
-        # per candidate (repro.causal.batch).  The scalar path above stays
-        # as the differential reference (config.batch_estimation=False).
-        # With config.bitset_masks the level's stacks come from packed item
-        # bitsets with popcount support pruning (bit-identical rules).
-        use_bitsets = config.bitset_masks
+    evaluate = evaluate_many = None
+    if batched_path_available(config, context.evaluator):
+        # Batched FWL engine: one estimation pass per lattice level
+        # instead of one OLS per candidate (repro.causal.batch).
+        alpha = config.significance_alpha
 
         def evaluate_many(patterns: list[Pattern]) -> list[tuple[bool, PrescriptionRule]]:
-            return [
-                decide(rule)
-                for rule in context.evaluate_batch(patterns, use_bitsets=use_bitsets)
-            ]
+            return _estimate_level(context, patterns, alpha)
+
+    else:
+        # Scalar per-candidate path: the differential reference.
+        decide = _make_decider(config)
+
+        def evaluate(pattern: Pattern) -> tuple[bool, PrescriptionRule]:
+            return decide(context.evaluate(pattern))
 
     nodes: list[LatticeNode] = traverse_lattice(
         items,
@@ -205,6 +242,26 @@ def mine_intervention(
         evaluate_many=evaluate_many,
     )
     return _result_from_nodes(nodes, config)
+
+
+def mine_grouping(
+    evaluator: RuleEvaluator,
+    grouping: Pattern,
+    items: list[Pattern],
+    config: FairCapConfig,
+    lattice_executor=None,
+) -> InterventionMiningResult:
+    """Build one grouping pattern's context and mine it to completion.
+
+    The loop body every Step-2 caller shares (serial, thread and process
+    executors, and the baseline adapters).  The context — the pattern's
+    sub-tables, bitsets and level stacks — is released when this returns,
+    so a worker holds one context at a time.
+    """
+    with obs_current().tracer.span("mining.context"):
+        return mine_intervention(
+            evaluator.context(grouping), items, config, lattice_executor
+        )
 
 
 def _result_from_nodes(
@@ -226,9 +283,9 @@ def _result_from_nodes(
 def _count_mining_nodes(registry, nodes: list[LatticeNode], best) -> None:
     """Mining-pipeline counters, taken at the shared result-assembly point.
 
-    Both Step-2 engines (per-context lattice and frontier) produce their
-    node lists through the same traversal, which the determinism contract
-    pins to be identical across executors, worker counts and chunkings —
+    Both Step-2 paths (batched and scalar) produce their node lists through
+    the same traversal, which the determinism contract pins to be
+    identical across executors, worker counts and chunkings —
     so these counters are flagged *deterministic*: their merged totals are
     exact, and the observability differential compares them bit-for-bit.
     Invalid-estimate reasons are read off the rules' ``CateResult``s, which
@@ -257,141 +314,6 @@ def _count_mining_nodes(registry, nodes: list[LatticeNode], best) -> None:
         )
     if best is not None:
         registry.inc("mining.rules", 1, deterministic=True)
-
-
-def frontier_mine_patterns(
-    evaluator: RuleEvaluator,
-    grouping_patterns,
-    items: list[Pattern],
-    config: FairCapConfig,
-) -> list[InterventionMiningResult]:
-    """Run Step 2 for many grouping patterns as one multi-level frontier.
-
-    Instead of traversing each grouping pattern's treatment lattice to
-    completion in turn, every context advances in lock-step: round k
-    collects level-k candidates of *all* active contexts
-    (:class:`~repro.mining.lattice.LatticeWalk` keeps candidate generation
-    identical to the serial traversal), plans them through the bitset
-    compose/prune layer, and answers the round's sub-population batches in
-    one estimation pass (:meth:`~repro.rules.utility.RuleEvaluator.estimate_requests`).
-    The per-level fixed costs — float conversion, adjustment restriction,
-    digesting — are paid once per (context, level) rather than once per
-    sub-population, which is what the many-small-groups regime was missing.
-
-    Determinism: estimation batches stay per (context, sub-population,
-    adjustment set) and every cached entry keeps level granularity, so the
-    mined rules are independent of how many contexts share a round — a
-    process worker fronting its chunk produces bit-identical results to a
-    serial run fronting everything (the :mod:`repro.parallel` contract).
-    Returns one :class:`InterventionMiningResult` per grouping pattern, in
-    input order, exactly as the per-context loop would.
-    """
-    patterns = list(grouping_patterns)
-    if not patterns:
-        return []
-    # Bound peak memory: every context in a frontier pins its sub-tables,
-    # bitset caches and factorization stores for the walk's lifetime, so
-    # hundreds of grouping patterns are processed in fixed-size windows
-    # (released between windows).  Windowing cannot change results: every
-    # estimation batch's bits are a pure function of its own request
-    # content, never of which contexts share a round (the same property
-    # that makes process-pool chunking safe).
-    if len(patterns) > FRONTIER_WINDOW:
-        results: list[InterventionMiningResult] = []
-        for start in range(0, len(patterns), FRONTIER_WINDOW):
-            results.extend(
-                frontier_mine_patterns(
-                    evaluator,
-                    patterns[start : start + FRONTIER_WINDOW],
-                    items,
-                    config,
-                )
-            )
-        return results
-    alpha = config.significance_alpha
-    use_bitsets = config.bitset_masks
-    gram_subtraction = getattr(config, "gram_subtraction", True)
-    # Throughput mode (config.throughput_mode): answer each round through
-    # the merged cross-context driver instead of the per-request kernel —
-    # wider GEMMs, no digests, no result cache.  This deliberately trades
-    # the serial ≡ process bit-identity contract for speed; certification
-    # moves from the differential suite to the 36-world scenario oracle.
-    throughput = getattr(config, "throughput_mode", False)
-    walks: list[tuple[GroupEvaluationContext, LatticeWalk]] = []
-    for frequent in patterns:
-        context = evaluator.context(getattr(frequent, "pattern", frequent))
-        walk = LatticeWalk(items, max_level=config.max_intervention_size)
-        walks.append((context, walk))
-
-    telemetry = obs_current()
-    while True:
-        round_work = []
-        for context, walk in walks:
-            if walk.done:
-                continue
-            work = context.begin_level(
-                walk.candidates(),
-                use_bitsets=use_bitsets,
-                gram_subtraction=gram_subtraction,
-                throughput=throughput,
-            )
-            round_work.append((walk, work))
-        if not round_work:
-            break
-        level = round_work[0][0].level
-        with telemetry.tracer.span(
-            "frontier.round",
-            level=level,
-            contexts=len(round_work),
-            candidates=sum(len(work.interventions) for _, work in round_work),
-        ):
-            # Phase 1: every context's overall batch — the keep decision
-            # needs nothing else.  Phase 2: protected / non-protected
-            # batches for the kept columns only (a rejected candidate's
-            # sub-population CATEs are never read).
-            estimate = (
-                evaluator.estimate_requests_merged
-                if throughput
-                else evaluator.estimate_requests
-            )
-            phase1 = [request for _, work in round_work for request in work.requests]
-            estimate(phase1)
-            phase2 = [
-                request
-                for _, work in round_work
-                for request in work.followup(alpha)
-            ]
-            estimate(phase2)
-            for walk, work in round_work:
-                walk.advance(work.finish())
-        if telemetry.enabled:
-            _count_frontier_round(telemetry.registry, level, round_work, phase1, phase2)
-
-    return [_result_from_nodes(walk.nodes, config) for _, walk in walks]
-
-
-def _count_frontier_round(registry, level, round_work, phase1, phase2) -> None:
-    """Per-round mining counters (all deterministic).
-
-    Popcount-pruned candidates, and the columns actually estimated in each
-    phase, are pure functions of each context's own level content — never
-    of which contexts share the round or how patterns were chunked across
-    workers (the same property that makes frontier windowing safe) — so
-    process-pool merges reproduce a serial run's totals exactly.
-    """
-    pruned = sum(len(work.pruned) for _, work in round_work)
-    if pruned:
-        registry.inc("mining.pruned", pruned, deterministic=True, level=level)
-    for phase, requests in (("overall", phase1), ("subpopulation", phase2)):
-        columns = sum(request.treated_rows.shape[0] for request in requests)
-        if columns:
-            registry.inc(
-                "mining.estimated_columns",
-                columns,
-                deterministic=True,
-                phase=phase,
-                level=level,
-            )
 
 
 def mine_interventions_for_groups(
@@ -439,21 +361,16 @@ def mine_interventions_detailed(
             evaluator, grouping_patterns, items, config, executor
         )
 
-    if frontier_enabled(config, evaluator):
-        results = frontier_mine_patterns(evaluator, grouping_patterns, items, config)
-        return [(r.best, r.nodes_evaluated) for r in results]
-
     detailed: list[tuple[PrescriptionRule | None, int]] = []
     for frequent in grouping_patterns:
-        context = evaluator.context(frequent.pattern)
-        result = mine_intervention(context, items, config)
+        result = mine_grouping(evaluator, frequent.pattern, items, config)
         detailed.append((result.best, result.nodes_evaluated))
     return detailed
 
 
 #: Patterns mined between checkpoint saves.  Durability granularity, not a
-#: result knob: frontier windowing and process chunking are both
-#: result-invariant, so any window size yields identical bits.
+#: result knob: each pattern's result is independent of which patterns are
+#: mined alongside it, so any window size yields identical bits.
 CHECKPOINT_WINDOW = 8
 
 

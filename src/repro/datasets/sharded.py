@@ -25,14 +25,14 @@ Sharded mining must be bit-for-bit the in-RAM engine (differential suite:
   the pieces — ``concat(codes_s[mask_s]) == codes[mask]`` element for
   element, and the category dictionaries are the global ones — so the
   sub-table is *content-identical* to what ``Table.filter`` yields, and
-  every downstream estimation path (Gram fast path, QR fallback, Gram
-  subtraction, caches, checkpoints) runs the same code on the same bytes.
+  every downstream estimation path (Gram fast path, QR fallback, caches,
+  checkpoints) runs the same code on the same bytes.
 
 Float sufficient statistics (shard-merged Gram pairs / column sums /
 outcome products, dispatched in :mod:`repro.causal.batch`) accumulate in
 fixed shard order: integer-valued entries (one-hot cross counts) merge
-exactly; continuous entries are deterministic for a given shard layout —
-the same contract PR 5's frontier established for batch composition.
+exactly; continuous entries are deterministic for a given shard layout,
+whichever executor computes them.
 """
 
 from __future__ import annotations

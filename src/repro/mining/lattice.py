@@ -6,25 +6,14 @@ when ``P2`` adds one predicate to ``P1``.  The paper materialises a node only
 when *all of its parents* passed the filter (there: positive CATE), arguing
 that combining positive-effect treatments is likely to stay positive.
 
-This module implements the traversal generically, in two spellings that are
-guaranteed to explore the same lattice:
-
-- :func:`traverse_lattice` drives one lattice to completion: callers provide
-  the items and an ``evaluate`` callback that decides, per pattern, whether
-  the node is *kept* (expandable) and attaches an arbitrary payload (e.g. a
-  :class:`~repro.causal.estimators.CateResult`) — or an ``evaluate_many``
-  callback that consumes a whole level at once (the batched FWL engine's
-  entry point).
-- :class:`LatticeWalk` exposes the same traversal level-synchronously:
-  ``candidates()`` hands out one level's candidate patterns, ``advance()``
-  takes their evaluations and generates the next level.  This is what lets
-  the frontier batcher (:func:`repro.core.intervention.mine_interventions_frontier`)
-  run *many* lattices in lock-step — level k+1 of every grouping-pattern
-  context is collected into one estimation round — while candidate
-  generation, ordering and pruning stay byte-for-byte those of the serial
-  traversal (``traverse_lattice`` is itself implemented on ``LatticeWalk``).
-
-The FairCap-specific scoring lives in :mod:`repro.core.intervention`.
+:func:`traverse_lattice` implements the traversal generically and drives one
+lattice to completion, level by level: callers provide the items and an
+``evaluate`` callback that decides, per pattern, whether the node is *kept*
+(expandable) and attaches an arbitrary payload (e.g. a
+:class:`~repro.causal.estimators.CateResult`) — or an ``evaluate_many``
+callback that consumes a whole level at once (the batched FWL engine's
+entry point).  The FairCap-specific scoring lives in
+:mod:`repro.core.intervention`.
 """
 
 from __future__ import annotations
@@ -62,134 +51,34 @@ class LatticeNode:
     payload: object
 
 
-class LatticeWalk:
-    """One lattice traversal, advanced one level at a time.
-
-    The walk owns the traversal state — materialised nodes, kept ancestor
-    sets, the pending candidate level — and exposes exactly two moves:
-    :meth:`candidates` returns the current level's candidate patterns (in
-    canonical generation order, already truncated to any ``max_nodes``
-    budget), and :meth:`advance` consumes their evaluations, records the
-    nodes, and generates the next level under all-parents-kept pruning.
-    Interleaving many walks (the frontier batcher) or running one to
-    completion (:func:`traverse_lattice`) produces identical nodes.
-
-    Parameters
-    ----------
-    items:
-        Single-attribute item patterns (the lattice's level-1 atoms).
-    max_level:
-        Deepest level to explore (the paper uses small treatments;
-        level 2 is the default as in CauSumX).
-    max_nodes:
-        Optional hard cap on materialised nodes (safety valve for
-        benchmarks); ``None`` = unlimited.  Hitting the cap truncates the
-        current level's candidate list and ends the walk after it.
-    """
-
-    def __init__(
-        self,
-        items: Sequence[Pattern],
-        max_level: int = 2,
-        max_nodes: int | None = None,
-    ) -> None:
-        for item in items:
-            if len(item.attributes) != 1:
-                raise PatternError(
-                    f"lattice items must cover exactly one attribute, got {item}"
-                )
-        self._items = list(items)
-        self._item_attrs = [item.attributes[0] for item in self._items]
-        self._max_level = max_level
-        self._max_nodes = max_nodes
-        self.nodes: list[LatticeNode] = []
-        self._kept_sets: dict[frozenset[int], Pattern] = {}
-        self._level = 1
-        self._truncated = False
-        self._pending: list[tuple[frozenset[int], Pattern]] | None = [
-            (frozenset((idx,)), item) for idx, item in enumerate(self._items)
-        ]
-        self._apply_node_budget()
-
-    @property
-    def level(self) -> int:
-        """Level of the pending candidates (1 = the items themselves)."""
-        return self._level
-
-    @property
-    def done(self) -> bool:
-        """True once no further candidates will be produced."""
-        return self._pending is None
-
-    def _apply_node_budget(self) -> None:
-        if self._max_nodes is None or self._pending is None:
-            return
-        remaining = self._max_nodes - len(self.nodes)
-        if len(self._pending) > remaining:
-            self._pending = self._pending[:remaining]
-            self._truncated = True
-
-    def candidates(self) -> list[Pattern]:
-        """The current level's candidate patterns, in generation order."""
-        if self._pending is None:
-            raise PatternError("lattice walk is finished")
-        return [pattern for _, pattern in self._pending]
-
-    def advance(self, evaluations: Sequence[Evaluation]) -> None:
-        """Record one level's evaluations and generate the next level.
-
-        ``evaluations[i]`` must correspond to ``candidates()[i]``; a
-        mismatched length is an error (it would silently desynchronise the
-        pruning state).
-        """
-        if self._pending is None:
-            raise PatternError("lattice walk is finished")
-        if len(evaluations) != len(self._pending):
-            raise PatternError(
-                f"{len(evaluations)} evaluations for "
-                f"{len(self._pending)} candidates"
-            )
-        kept_keys: list[frozenset[int]] = []
-        for (key, pattern), (keep, payload) in zip(self._pending, evaluations):
-            self.nodes.append(LatticeNode(pattern, self._level, keep, payload))
-            if keep:
-                self._kept_sets[key] = pattern
-                kept_keys.append(key)
-        if self._truncated or not kept_keys or self._level >= self._max_level:
-            self._pending = None
-            return
-        self._pending = self._generate(kept_keys)
-        self._level += 1
-        self._apply_node_budget()
-
-    def _generate(
-        self, kept_keys: list[frozenset[int]]
-    ) -> list[tuple[frozenset[int], Pattern]]:
-        """Next level's candidates from the keys kept at the current level."""
-        level = self._level
-        candidates: list[tuple[frozenset[int], Pattern]] = []
-        seen: set[frozenset[int]] = set()
-        ordered = sorted(kept_keys, key=lambda s: tuple(sorted(s)))
-        for a_key, b_key in combinations(ordered, 2):
-            union = a_key | b_key
-            if len(union) != level + 1 or union in seen:
-                continue
-            seen.add(union)
-            attrs = [self._item_attrs[i] for i in union]
-            if len(set(attrs)) != len(attrs):
-                continue
-            # "Materialise only if all parents are kept": every level-k
-            # subset must have been kept.
-            if any(
-                frozenset(sub) not in self._kept_sets
-                for sub in combinations(sorted(union), level)
-            ):
-                continue
-            pattern = Pattern(
-                [pred for i in sorted(union) for pred in self._items[i].predicates]
-            )
-            candidates.append((union, pattern))
-        return candidates
+def _next_level(
+    items: Sequence[Pattern],
+    kept_sets: set[frozenset[int]],
+    kept_keys: list[frozenset[int]],
+    level: int,
+) -> list[tuple[frozenset[int], Pattern]]:
+    """Level ``level + 1``'s candidates from the keys kept at ``level``."""
+    candidates: list[tuple[frozenset[int], Pattern]] = []
+    seen: set[frozenset[int]] = set()
+    ordered = sorted(kept_keys, key=lambda s: tuple(sorted(s)))
+    for a_key, b_key in combinations(ordered, 2):
+        union = a_key | b_key
+        if len(union) != level + 1 or union in seen:
+            continue
+        seen.add(union)
+        attrs = [items[i].attributes[0] for i in union]
+        if len(set(attrs)) != len(attrs):
+            continue
+        # "Materialise only if all parents are kept": every level-k
+        # subset must have been kept.
+        if any(
+            frozenset(sub) not in kept_sets
+            for sub in combinations(sorted(union), level)
+        ):
+            continue
+        pattern = Pattern([pred for i in sorted(union) for pred in items[i].predicates])
+        candidates.append((union, pattern))
+    return candidates
 
 
 def traverse_lattice(
@@ -245,18 +134,45 @@ def traverse_lattice(
     """
     if evaluate is None and evaluate_many is None:
         raise PatternError("traverse_lattice needs evaluate or evaluate_many")
+    items = list(items)
+    for item in items:
+        if len(item.attributes) != 1:
+            raise PatternError(
+                f"lattice items must cover exactly one attribute, got {item}"
+            )
 
     if executor is not None and getattr(executor, "kind", "serial") == "process":
         executor = None  # closures cannot cross a process boundary
 
-    def evaluate_batch(patterns: list[Pattern]) -> list[Evaluation]:
+    def evaluate_level(patterns: list[Pattern]) -> list[Evaluation]:
         if evaluate_many is not None:
             return evaluate_many(patterns)
         if executor is None or len(patterns) <= 1:
             return [evaluate(p) for p in patterns]
         return executor.map(evaluate, patterns)
 
-    walk = LatticeWalk(items, max_level=max_level, max_nodes=max_nodes)
-    while not walk.done:
-        walk.advance(evaluate_batch(walk.candidates()))
-    return walk.nodes
+    nodes: list[LatticeNode] = []
+    kept_sets: set[frozenset[int]] = set()
+    pending = [(frozenset((idx,)), item) for idx, item in enumerate(items)]
+    level = 1
+    while pending:
+        # Hitting the node budget truncates this level and ends the walk.
+        truncated = max_nodes is not None and len(pending) > max_nodes - len(nodes)
+        if truncated:
+            pending = pending[: max_nodes - len(nodes)]
+        evaluations = evaluate_level([pattern for _, pattern in pending])
+        if len(evaluations) != len(pending):
+            raise PatternError(
+                f"{len(evaluations)} evaluations for {len(pending)} candidates"
+            )
+        kept_keys: list[frozenset[int]] = []
+        for (key, pattern), (keep, payload) in zip(pending, evaluations):
+            nodes.append(LatticeNode(pattern, level, keep, payload))
+            if keep:
+                kept_sets.add(key)
+                kept_keys.append(key)
+        if truncated or level >= max_level:
+            break
+        pending = _next_level(items, kept_sets, kept_keys, level)
+        level += 1
+    return nodes

@@ -26,13 +26,13 @@ instance.
 
 The batched FWL engine (:mod:`repro.causal.batch`) adds two entry families:
 
-- *level entries* (:meth:`EstimationCache.level_key`) memoise one whole
-  lattice level's results under a digest of the full treated-mask stack —
-  per-column GEMM output is only bit-reproducible for an identical batch,
-  so the level itself is the content unit;
-- *design factorizations* (:meth:`EstimationCache.get_or_factorize`) memoise
-  the per-(table, outcome, adjustment) orthogonal basis in a sibling LRU
-  that never crosses process boundaries.
+- *level entries* (:meth:`EstimationCache.rows_level_key`) memoise one whole
+  (sub-population, lattice level) batch under a digest of its packed
+  treated stack — per-candidate GEMM output is only bit-reproducible for an
+  identical batch, so the level itself is the content unit;
+- *design factorizations* (:meth:`EstimationCache.get_or_factorize_rows`)
+  memoise the per-(table, outcome, adjustment) factorization in a sibling
+  LRU that never crosses process boundaries.
 """
 
 from __future__ import annotations
@@ -72,21 +72,6 @@ def treated_mask_digest(treated: np.ndarray) -> bytes:
     return h.digest()
 
 
-def treated_rows_digest(treated_rows: np.ndarray) -> bytes:
-    """Stable digest of an ``(m, n)`` *row-major* boolean treated stack.
-
-    Row-layout sibling of :func:`treated_matrix_digest` for the frontier
-    batcher's level requests; the shape prefix keeps the two families (and
-    transposes of each other's content) from ever colliding.
-    """
-    treated_rows = np.asarray(treated_rows, dtype=bool)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(b"rows")
-    h.update(repr(treated_rows.shape).encode())
-    h.update(np.packbits(treated_rows, axis=1).tobytes())
-    return h.digest()
-
-
 def packed_rows_digest(word_matrix: np.ndarray, n_rows: int) -> bytes:
     """Stable digest of an ``(m, words)`` packed-bitset stack.
 
@@ -100,22 +85,6 @@ def packed_rows_digest(word_matrix: np.ndarray, n_rows: int) -> bytes:
     h.update(b"packed-rows")
     h.update(repr((n_rows,) + word_matrix.shape).encode())
     h.update(np.ascontiguousarray(word_matrix).tobytes())
-    return h.digest()
-
-
-def treated_matrix_digest(treated_matrix: np.ndarray) -> bytes:
-    """Stable digest of an ``(n, m)`` boolean treated-mask stack.
-
-    The digest covers the shape *and* the column order: two batches with the
-    same columns in a different order hash differently.  That is deliberate
-    — batch entries memoise the result of one specific GEMM, and BLAS
-    kernels only guarantee bit-identical per-column results for an identical
-    batch (see the determinism notes in :mod:`repro.causal.batch`).
-    """
-    treated_matrix = np.asarray(treated_matrix, dtype=bool)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(repr(treated_matrix.shape).encode())
-    h.update(np.packbits(treated_matrix, axis=0).tobytes())
     return h.digest()
 
 
@@ -141,9 +110,10 @@ class EstimationCache:
         self._new: dict[CacheKey, object] | None = None
         # Design factorizations (repro.causal.batch) live in a sibling LRU:
         # they are derived data — recomputable from the table — and carry an
-        # (n x rank) orthonormal basis each, so they are deliberately
-        # excluded from snapshot()/seed() (process workers rebuild their own
-        # rather than paying to ship dense bases across the pool).
+        # (n x k) design block or orthonormal basis each, so they are
+        # deliberately excluded from snapshot()/seed() (process workers
+        # rebuild their own rather than paying to ship dense bases across
+        # the pool).
         self._factorizations: OrderedDict[CacheKey, object] = OrderedDict()
         self.max_factorizations = max(1, min(self.max_entries, 512))
 
@@ -172,34 +142,6 @@ class EstimationCache:
         )
 
     @staticmethod
-    def level_key(
-        estimator,
-        table,
-        treated_matrix: np.ndarray,
-        outcome: str,
-        adjustments,
-    ) -> CacheKey:
-        """Content key of one whole-level estimation (per-column adjustments).
-
-        Level entries are keyed by the full treated-mask stack rather than
-        per column: a stored value is the result of one specific GEMM
-        batch, and only an identical batch is guaranteed to reproduce it
-        bit-for-bit (see :func:`treated_matrix_digest`).  Lattice levels
-        are fully determined by the traversal, so identical runs — warm
-        reruns, sibling problem variants, any executor or worker count —
-        hit the same keys.  The per-column adjustment tuples determine the
-        FWL grouping, so they are part of the content.
-        """
-        return (
-            "level",
-            estimator.cache_key(),
-            table.fingerprint(),
-            treated_matrix_digest(treated_matrix),
-            outcome,
-            tuple(tuple(adj) for adj in adjustments),
-        )
-
-    @staticmethod
     def rows_level_key(
         estimator,
         table,
@@ -207,17 +149,22 @@ class EstimationCache:
         outcome: str,
         adjustments,
     ) -> CacheKey:
-        """Content key of one frontier level request (row-major stacks).
+        """Content key of one (sub-population, lattice level) estimation.
 
         ``digest_parts`` is an opaque tuple the caller guarantees to
-        *determine the request's treated stack*: the frontier batcher passes
-        the packed-words digest of the level's full candidate stack plus,
-        for protected / non-protected sub-populations, the digest of the
+        *determine the request's treated stack*: Step 2 passes the
+        packed-words digest of the level's candidate stack plus, for
+        protected / non-protected sub-populations, the digest of the
         context's row-selection mask — together they pin the sliced stack's
         content exactly, without re-digesting each sub-population's rows.
-        Same level-granularity contract as :meth:`level_key`: a stored
-        value is the result of one specific batch, and identical runs hit
-        identical keys regardless of executor or chunking.
+        Level entries are keyed by the whole stack rather than per
+        candidate: a stored value is the result of one specific GEMM batch,
+        and only an identical batch is guaranteed to reproduce it
+        bit-for-bit.  Lattice levels are fully determined by the traversal,
+        so identical runs — warm reruns, sibling problem variants, any
+        executor or worker count — hit the same keys.  The per-candidate
+        adjustment tuples determine the FWL grouping, so they are part of
+        the content.
         """
         return (
             "level-rows",
@@ -232,8 +179,8 @@ class EstimationCache:
     def factorization_key(
         table, outcome: str, adjustment: tuple[str, ...]
     ) -> CacheKey:
-        """Content key of one design factorization (table, outcome, Z)."""
-        return ("fwl", table.fingerprint(), outcome, tuple(adjustment))
+        """Content key of one row-kernel design factorization (table, outcome, Z)."""
+        return ("fwl-rows", table.fingerprint(), outcome, tuple(adjustment))
 
     # -- store -----------------------------------------------------------------
 
@@ -275,102 +222,27 @@ class EstimationCache:
             self.put(key, result)
         return result
 
-    def get_or_estimate_level(
-        self,
-        estimator,
-        table,
-        treated_matrix: np.ndarray,
-        outcome: str,
-        adjustments,
-    ) -> list:
-        """Memoised ``estimator.estimate_level(...)`` keyed by the level.
-
-        Factorizations for the level's adjustment groups are fetched (or
-        built) through the factorization store, so consecutive lattice
-        levels of one context share their QRs.
-        """
-        key = self.level_key(estimator, table, treated_matrix, outcome, adjustments)
-        results = self.get(key)
-        if results is None:
-            results = estimator.estimate_level(
-                table,
-                treated_matrix,
-                outcome,
-                adjustments,
-                factorization_for=lambda adjustment: self.get_or_factorize(
-                    table, outcome, adjustment
-                ),
-            )
-            self.put(key, results)
-        return results
-
-    def get_or_factorize(self, table, outcome: str, adjustment: tuple[str, ...]):
-        """Memoised :func:`repro.causal.batch.build_factorization`.
-
-        Factorizations live in their own LRU (``max_factorizations``) and
-        never travel through :meth:`snapshot`/:meth:`seed` — see
-        ``__init__``.
-        """
-        from repro.causal.batch import build_factorization
-
-        return self._factorize_with(
-            self.factorization_key(table, outcome, adjustment),
-            build_factorization,
-            table,
-            outcome,
-            adjustment,
-        )
-
     def get_or_factorize_rows(
-        self, table, outcome: str, adjustment: tuple[str, ...], donor=None
+        self, table, outcome: str, adjustment: tuple[str, ...]
     ):
         """Memoised :func:`repro.causal.batch.build_rows_factorization`.
 
-        The row-major (Gram) factorizations the fused kernel consumes live
-        under their own key prefix: the two builds project identically but
-        are different objects with different numerical paths, and an entry
-        must never answer for the other family.  A ``donor`` (the Gram-
-        subtraction partition, see ``build_rows_factorization``) gets its
-        own key family carrying the donor tables' fingerprints: a
-        subtraction-built factorization's bits differ from a direct
-        build's, and sharing one key would make results depend on cache
-        state — which is executor-dependent.
+        Factorizations live in their own LRU (``max_factorizations``) and
+        never travel through :meth:`snapshot`/:meth:`seed` — see
+        ``__init__``.  A factorization's bits are a pure function of the
+        table content, outcome and adjustment set, so a hit is always
+        bit-equivalent to rebuilding.
         """
-        from repro.causal.batch import build_rows_factorization
+        from repro.causal import batch
 
-        if donor is None:
-            key = ("fwl-rows", table.fingerprint(), outcome, tuple(adjustment))
-        else:
-            key = (
-                "fwl-rows-sub",
-                table.fingerprint(),
-                donor[0].fingerprint(),
-                donor[1].fingerprint(),
-                outcome,
-                tuple(adjustment),
-            )
-        return self._factorize_with(
-            key,
-            build_rows_factorization,
-            table,
-            outcome,
-            adjustment,
-            donor=donor,
-        )
-
-    def _factorize_with(
-        self, key: CacheKey, build, table, outcome, adjustment, donor=None
-    ):
+        key = self.factorization_key(table, outcome, adjustment)
         with self._lock:
             factorization = self._factorizations.get(key)
             if factorization is not None:
                 self._factorizations.move_to_end(key)
                 self._fac_hits += 1
         if factorization is None:
-            if donor is not None:
-                factorization = build(table, outcome, adjustment, donor=donor)
-            else:
-                factorization = build(table, outcome, adjustment)
+            factorization = batch.build_rows_factorization(table, outcome, adjustment)
             with self._lock:
                 self._fac_misses += 1
                 self._factorizations[key] = factorization

@@ -16,13 +16,16 @@ search, return the best rule.  This module packages that unit so any
   serial loop produces, which is what makes results independent of worker
   count (determinism contract, :mod:`repro.parallel`).
 
-Each worker's per-pattern search runs the batched FWL engine when
-``config.batch_estimation`` is set (the default): a lattice level is one
-GEMM batch (:mod:`repro.causal.batch`), and the worker-side
-:class:`~repro.parallel.cache.EstimationCache` stores whole-level entries,
-which is what keeps results bit-identical across executors — a level's
-batch composition is determined by the traversal, never by which worker
-mined neighbouring patterns (see ``EstimationCache.level_key``).
+Each worker mines its patterns one at a time through
+:func:`repro.core.intervention.mine_grouping` — the same per-pattern function
+the serial loop uses — so a worker holds one grouping context at a time.
+Under ``config.batch_estimation`` (the default) a lattice level is one
+GEMM batch per sub-population (:mod:`repro.causal.batch`), and the
+worker-side :class:`~repro.parallel.cache.EstimationCache` stores
+whole-level entries, which is what keeps results bit-identical across
+executors — a level's batch composition is determined by the traversal,
+never by which worker mined neighbouring patterns (see
+``EstimationCache.rows_level_key``).
 
 This module is imported lazily by :mod:`repro.core.intervention` to keep
 ``repro.parallel`` importable from ``repro.core.config``.
@@ -141,39 +144,21 @@ def _mine_chunk(
 ) -> tuple[list[tuple], dict, dict | None]:
     """Chunk worker: mine the best treatment for each grouping pattern.
 
-    With frontier batching enabled (the default) the chunk's contexts
-    advance level-synchronously through one frontier
-    (:func:`repro.core.intervention.frontier_mine_patterns`); estimation
-    batches stay per (context, sub-population, adjustment set), so the
-    results are bit-identical to the per-pattern loop regardless of how
-    patterns were chunked across workers.  Returns the per-pattern results,
-    the cache entries this chunk computed (empty unless the worker cache is
-    in recording mode), and — from process workers with telemetry on — the
-    chunk's drained telemetry snapshot for the caller to absorb.
+    Patterns are mined one after another to completion, so every result
+    is independent of how patterns were chunked across workers.  Returns
+    the per-pattern results, the cache entries this chunk computed (empty
+    unless the worker cache is in recording mode), and — from process
+    workers with telemetry on — the chunk's drained telemetry snapshot for
+    the caller to absorb.
     """
-    from repro.core.intervention import (
-        frontier_enabled,
-        frontier_mine_patterns,
-        mine_intervention,
-    )
+    from repro.core.intervention import mine_grouping
 
     out = []
-    if frontier_enabled(state.config, state.evaluator):
-        results = frontier_mine_patterns(
-            state.evaluator,
-            [state.patterns[i] for i in indices],
-            state.items,
-            state.config,
+    for i in indices:
+        result = mine_grouping(
+            state.evaluator, state.patterns[i].pattern, state.items, state.config
         )
-        out = [
-            (i, result.best, result.nodes_evaluated)
-            for i, result in zip(indices, results)
-        ]
-    else:
-        for i in indices:
-            context = state.evaluator.context(state.patterns[i].pattern)
-            result = mine_intervention(context, state.items, state.config)
-            out.append((i, result.best, result.nodes_evaluated))
+        out.append((i, result.best, result.nodes_evaluated))
     cache = state.evaluator.cache
     new_entries = cache.drain_new_entries() if cache is not None else {}
     telemetry_payload = None
@@ -237,7 +222,7 @@ def mine_groups_detailed(
     :meth:`~repro.parallel.executors.ProcessExecutor.map_with_state`
     without changing any result bit (see the determinism contract).
     """
-    from repro.core.intervention import frontier_enabled
+    from repro.core.intervention import batched_path_available, mine_grouping
 
     patterns = tuple(grouping_patterns)
     if not patterns:
@@ -246,20 +231,18 @@ def mine_groups_detailed(
     if (
         executor.kind == "thread"
         and len(patterns) < executor.n_workers
-        and not frontier_enabled(config, evaluator)
+        and not batched_path_available(config, evaluator)
     ):
-        # Too few patterns to feed every thread; push the threads one level
-        # down instead: walk the patterns serially and batch-evaluate each
-        # lattice level across the pool (identical results — see
-        # traverse_lattice's executor contract).  Patterns stay serial so
-        # only one level-batch pool is live at a time (no oversubscription).
-        from repro.core.intervention import mine_intervention
-
+        # Too few patterns to feed every thread; push the scalar path's
+        # threads one level down instead: walk the patterns serially and
+        # evaluate each lattice level's candidates across the pool
+        # (identical results — see traverse_lattice's executor contract).
+        # Patterns stay serial so only one level-batch pool is live at a
+        # time (no oversubscription).
         detailed = []
         for frequent in patterns:
-            context = evaluator.context(frequent.pattern)
-            result = mine_intervention(
-                context, items, config, lattice_executor=executor
+            result = mine_grouping(
+                evaluator, frequent.pattern, items, config, lattice_executor=executor
             )
             detailed.append((result.best, result.nodes_evaluated))
         return detailed

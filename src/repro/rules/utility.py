@@ -14,24 +14,20 @@ pair into an evaluated :class:`~repro.rules.rule.PrescriptionRule`:
 Because Step 2 of FairCap evaluates *many* intervention patterns against the
 *same* grouping pattern, the per-group work (filtering the table, splitting
 into protected / non-protected sub-tables) is factored into a
-:class:`GroupEvaluationContext` that is built once per grouping pattern —
-and whole lattice levels go through :meth:`GroupEvaluationContext.evaluate_batch`,
-which computes the overall/protected/non-protected CATEs of a level in three
-batched FWL estimations (:mod:`repro.causal.batch`) instead of three OLS
-solves per candidate.
+:class:`GroupEvaluationContext` that is built once per grouping pattern.
 
-The default engine goes one layer further: the frontier batcher
-(:func:`repro.core.intervention.frontier_mine_patterns`) advances many
-contexts' lattices in lock-step, and each context contributes a
-:class:`_LevelWork` per round — built by
-:meth:`GroupEvaluationContext.begin_level`, which composes the level's
-treated stacks from packed item bitsets (:mod:`repro.mining.bitsets`),
-popcount-prunes zero-support candidates before any estimation, and defers
-protected / non-protected estimation behind the keep filter
-(:meth:`_LevelWork.followup`): a rejected candidate's sub-population CATEs
-are never computed.  :meth:`RuleEvaluator.estimate_requests` answers a
-round's requests through the fused row-major kernel under
-level-granularity cache keys.
+The batched engine (:func:`repro.core.intervention.mine_intervention`)
+hands each lattice level to :meth:`GroupEvaluationContext.begin_level`,
+which composes the level's treated stacks from packed item bitsets
+(:mod:`repro.mining.bitsets`), popcount-prunes zero-support candidates
+before any estimation, and emits the *overall* estimation request;
+:meth:`_LevelWork.followup` applies the keep filter and emits protected /
+non-protected requests for the kept candidates only — a rejected
+candidate's sub-population CATEs are never computed.
+:meth:`RuleEvaluator.estimate_requests` answers requests through the fused
+row-major kernel (:func:`repro.causal.batch.estimate_level_rows`) under
+level-granularity cache keys.  :meth:`GroupEvaluationContext.evaluate` is
+the scalar per-candidate reference.
 
 Utilities follow the paper's conventions: a rule covering no tuples has
 utility 0, and a sub-group CATE that cannot be estimated (no protected rows,
@@ -64,7 +60,6 @@ from repro.parallel.cache import (
     EstimationCache,
     packed_rows_digest,
     treated_mask_digest,
-    treated_rows_digest,
 )
 from repro.rules.protected import ProtectedGroup
 from repro.rules.rule import PrescriptionRule
@@ -79,10 +74,10 @@ def keep_candidate(overall: "CateResult | None", alpha: float | None) -> bool:
 
     A node's supersets are explored when its overall effect is usable,
     positive, and (when ``alpha`` is set) significant — Sec. 5.2's filter.
-    Single source of truth shared by the per-context decider
-    (:func:`repro.core.intervention._make_decider`) and the frontier's
-    phase-2 planning (:meth:`_LevelWork.followup`), so the two engines
-    cannot drift apart on which lattice they explore.
+    Single source of truth shared by the scalar decider
+    (:func:`repro.core.intervention._make_decider`) and the batched
+    engine's phase-2 planning (:meth:`_LevelWork.followup`), so the two
+    paths cannot drift apart on which lattice they explore.
     """
     if overall is None or not overall.valid:
         return False
@@ -93,7 +88,7 @@ def keep_candidate(overall: "CateResult | None", alpha: float | None) -> bool:
 
 
 class _SubRequest:
-    """One (sub-population, level) estimation unit of a frontier round.
+    """One (sub-population, lattice level) estimation unit.
 
     Carries everything :meth:`RuleEvaluator.estimate_requests` needs to
     answer it — the sub-table, the row-major treated stack plus its shared
@@ -109,21 +104,11 @@ class _SubRequest:
         "counts",
         "effective",
         "digest_parts",
-        "fac_store",
-        "donor",
         "results",
     )
 
     def __init__(
-        self,
-        table,
-        treated_rows,
-        float_rows,
-        counts,
-        effective,
-        digest_parts,
-        fac_store,
-        donor=None,
+        self, table, treated_rows, float_rows, counts, effective, digest_parts
     ):
         self.table = table
         self.treated_rows = treated_rows
@@ -131,25 +116,21 @@ class _SubRequest:
         self.counts = counts
         self.effective = effective
         self.digest_parts = digest_parts
-        self.fac_store = fac_store
-        # Gram-subtraction provenance: a (parent, sibling) table pair that
-        # partitions this request's table (see build_rows_factorization).
-        self.donor = donor
         self.results: list[CateResult] | None = None
 
 
 class _LevelWork:
-    """One context's share of a two-phase frontier estimation round.
+    """One lattice level of one context, estimated in two phases.
 
     Built by :meth:`GroupEvaluationContext.begin_level`: popcount-pruned
     candidates arrive pre-assembled in ``pruned``; the surviving
-    candidates' *overall* batch sits in ``requests`` for the round's first
+    candidates' *overall* batch sits in ``requests`` for the first
     estimation pass.  :meth:`followup` then applies the keep filter — Step
     2 expands a node on its overall CATE alone (positive, significant) —
     and emits protected / non-protected requests **only for the kept
     columns**: a rejected candidate's sub-population CATEs are never read
     (its rule is discarded after the keep decision), so estimating them
-    eagerly, as the reference engine does, is pure waste.  :meth:`finish`
+    eagerly, as the scalar reference does, is pure waste.  :meth:`finish`
     re-interleaves everything into ``(keep, rule)`` evaluations in
     candidate order.
     """
@@ -162,7 +143,6 @@ class _LevelWork:
         "_const_rules",
         "_survivor_count",
         "_treated_rows",
-        "_float_rows",
         "_packed",
         "_counts",
         "_prot_counts",
@@ -172,21 +152,16 @@ class _LevelWork:
         "_kept_pos",
         "_prot",
         "_nonprot",
-        "gram_subtraction",
-        "throughput",
     )
 
     def __init__(self, context, interventions):
         self.context = context
         self.interventions = interventions
-        self.gram_subtraction = True
-        self.throughput = False
         self.pruned: dict[int, PrescriptionRule] = {}
         self.requests: list[_SubRequest] = []
         self._const_rules: list[PrescriptionRule] | None = None
         self._survivor_count = 0
         self._treated_rows = None
-        self._float_rows = None
         self._packed = None
         self._counts = None
         self._prot_counts = None
@@ -269,35 +244,11 @@ class GroupEvaluationContext:
         self.non_protected_table = (
             self.subtable.filter(~self.sub_protected) if non_protected_count else None
         )
-        # Per-predicate masks over the subtable, shared by every lattice
-        # level: a level-2 intervention reuses its two items' masks and
-        # pays one AND instead of re-evaluating both predicates.
-        self._predicate_masks: dict = {}
-        # Packed-bitset siblings of the above, built lazily by the bitset
-        # mask kernel (config.bitset_masks): the protected row-selection as
-        # words for popcount splits, and its digest for frontier cache keys.
+        # Built lazily by the batched engine: the protected row-selection
+        # as packed words for popcount splits, and its digest for the
+        # sub-population cache keys.
         self._protected_words: np.ndarray | None = None
         self._protected_digest: bytes | None = None
-        # Per-sub-population design factorizations, pinned for this
-        # context's lifetime.  The frontier advances every context's
-        # lattice in lock-step, which destroys the temporal locality the
-        # global factorization LRU relies on (level k+1 of context 0 runs
-        # long after its level k) — holding a context's own QRs here keeps
-        # within-context reuse perfect at any frontier width, for the same
-        # memory order as the sub-tables the context already pins.
-        self._fac_stores: dict[str, dict] = {"all": {}, "prot": {}, "nonprot": {}}
-
-    def _intervention_mask(self, intervention: Pattern) -> np.ndarray:
-        """Treated mask of ``intervention`` from memoised predicate masks."""
-        combined: np.ndarray | None = None
-        for predicate in intervention.predicates:
-            mask = self._predicate_masks.get(predicate)
-            if mask is None:
-                mask = predicate.mask(self.subtable)
-                self._predicate_masks[predicate] = mask
-            combined = mask if combined is None else combined & mask
-        assert combined is not None  # interventions are non-empty
-        return combined
 
     def _protected_bitset(self) -> np.ndarray:
         """Packed protected-row mask over the subtable (lazily built)."""
@@ -306,7 +257,7 @@ class GroupEvaluationContext:
         return self._protected_words
 
     def _protected_mask_digest(self) -> bytes:
-        """Digest of the protected row-selection for frontier cache keys."""
+        """Digest of the protected row-selection for sub-population cache keys."""
         if self._protected_digest is None:
             self._protected_digest = treated_mask_digest(self.sub_protected)
         return self._protected_digest
@@ -316,14 +267,12 @@ class GroupEvaluationContext:
     ) -> CateResult:
         """The result estimation *would* produce for a zero-support column.
 
-        Replicates, branch for branch, what :meth:`RuleEvaluator.cate_level`
-        plus the batched kernel emit for a candidate whose treated count in
-        the whole subgroup is 0 or n (so every sub-population's count is 0
-        or its size too): the minimum-subgroup guard first (raw adjustment
-        attributes, like the guard), then the positivity rejection (with the
-        sub-table's effective adjustment, like the kernel).  This is what
-        makes popcount pruning ≡ post-estimation support filtering exactly,
-        field for field.
+        Replicates, branch for branch, what the scalar :meth:`RuleEvaluator.cate`
+        emits for a candidate whose treated count in the whole subgroup is 0
+        or n: the minimum-subgroup guard first (raw adjustment attributes,
+        like the guard), then the estimator's positivity rejection (with the
+        sub-table's effective adjustment).  This is what makes popcount
+        pruning ≡ the scalar overall rejection exactly, field for field.
         """
         n_sub = sub_table.n_rows
         min_size = self.evaluator.min_subgroup_size
@@ -352,10 +301,11 @@ class GroupEvaluationContext:
     ) -> PrescriptionRule:
         """Assemble a popcount-pruned candidate's rule without estimation.
 
-        A zero-support candidate can never be kept, and the frontier only
-        estimates sub-population CATEs for kept candidates — so, exactly
-        like every other rejected candidate's rule, the pruned rule carries
-        the synthesized *overall* rejection and ``None`` sub-populations.
+        A zero-support candidate can never be kept, and the batched engine
+        only estimates sub-population CATEs for kept candidates — so,
+        exactly like every other rejected candidate's rule, the pruned rule
+        carries the synthesized *overall* rejection and ``None``
+        sub-populations.
         """
         overall = self._pruned_result(self.subtable, count, raw_adjustment)
         return self._assemble_rule(intervention, overall, None, None)
@@ -371,18 +321,16 @@ class GroupEvaluationContext:
             protected_coverage_count=0,
         )
 
-    def _compose_level(
-        self, interventions: list[Pattern], use_bitsets: bool, prune: bool = True
-    ):
+    def _compose_level(self, interventions: list[Pattern]):
         """Compose one level's treated stacks, pruning zero-support columns.
 
-        Returns ``(pruned, survivors, treated_rows, counts, prot_counts,
-        raw_adjustments, packed)`` where ``treated_rows`` is the surviving
-        candidates' row-major boolean stack.  With ``use_bitsets`` the
-        stacks are AND-composed from per-predicate packed bitsets; with
-        ``prune`` (the frontier path) zero-support candidates are popcount-
-        pruned *before* any boolean row is materialised.  The packed stack
-        rides along (last element) for digest reuse.
+        The stacks are AND-composed from per-predicate packed bitsets, and
+        candidates whose treated count is 0 or the whole subgroup are
+        popcount-pruned *before* any boolean row is materialised.  Returns
+        ``(pruned, survivors, treated_rows, counts, prot_counts,
+        raw_adjustments, packed)`` for the surviving candidates:
+        ``treated_rows`` is their row-major boolean stack and ``packed``
+        its word form (for digest reuse).
         """
         evaluator = self.evaluator
         n = self.subtable.n_rows
@@ -391,12 +339,6 @@ class GroupEvaluationContext:
             evaluator.adjustment_for(intervention.attributes)
             for intervention in interventions
         ]
-        if not use_bitsets:
-            treated_rows = np.empty((m, n), dtype=bool)
-            for j, intervention in enumerate(interventions):
-                treated_rows[j] = self._intervention_mask(intervention)
-            return {}, list(range(m)), treated_rows, None, None, raw_adjustments, None
-
         first = pattern_bitset(self.subtable, interventions[0])
         packed = np.empty((m, first.shape[0]), dtype=np.uint64)
         packed[0] = first
@@ -410,14 +352,13 @@ class GroupEvaluationContext:
         )
         pruned: dict[int, PrescriptionRule] = {}
         survivors = list(range(m))
-        if prune:
-            prunable = (counts == 0) | (counts == n)
-            if prunable.any():
-                for j in np.flatnonzero(prunable):
-                    pruned[int(j)] = self._pruned_rule(
-                        interventions[j], raw_adjustments[j], int(counts[j])
-                    )
-                survivors = [int(j) for j in np.flatnonzero(~prunable)]
+        prunable = (counts == 0) | (counts == n)
+        if prunable.any():
+            for j in np.flatnonzero(prunable):
+                pruned[int(j)] = self._pruned_rule(
+                    interventions[j], raw_adjustments[j], int(counts[j])
+                )
+            survivors = [int(j) for j in np.flatnonzero(~prunable)]
         if not survivors:
             return pruned, survivors, None, None, None, raw_adjustments, None
         packed_s = packed[survivors] if len(survivors) != m else packed
@@ -438,11 +379,10 @@ class GroupEvaluationContext:
         raw_adjustments,
         base_digest,
         tag: str,
-        donor=None,
     ):
         """One sub-population's share of a level: a request or a const list.
 
-        Mirrors :meth:`RuleEvaluator.cate_level`'s guards exactly — the
+        Mirrors the scalar :meth:`RuleEvaluator.cate` guards exactly — the
         minimum-subgroup cutoff first (raw adjustment attributes), then the
         per-sub-table effective-adjustment restriction (computed once per
         *distinct* set instead of once per column) — before emitting an
@@ -489,64 +429,30 @@ class GroupEvaluationContext:
                 if rows_mask is None
                 else ("rows-sub", base_digest, self._protected_mask_digest(), tag)
             )
-            if donor is not None:
-                # A subtraction-built factorization's bits depend on the
-                # donor tables' content, which the mask digests above do
-                # not pin down; fold the donor fingerprints into the
-                # result key so a cache hit is always bit-equivalent to
-                # recomputation.
-                digest_parts = digest_parts + (
-                    donor[0].fingerprint(),
-                    donor[1].fingerprint(),
-                )
         request = _SubRequest(
-            sub_table,
-            sub_rows,
-            sub_float,
-            pop_counts,
-            effective,
-            digest_parts,
-            self._fac_stores[tag],
-            donor=donor,
+            sub_table, sub_rows, sub_float, pop_counts, effective, digest_parts
         )
         work.requests.append(request)
         return request
 
-    def begin_level(
-        self,
-        interventions: Sequence[Pattern],
-        use_bitsets: bool = True,
-        gram_subtraction: bool = True,
-        throughput: bool = False,
-    ) -> _LevelWork:
-        """Plan one lattice level for a two-phase frontier estimation round.
+    def begin_level(self, interventions: Sequence[Pattern]) -> _LevelWork:
+        """Plan one lattice level for two-phase estimation.
 
-        Composes the level's treated stacks (from packed item bitsets when
-        ``use_bitsets``), prunes candidates below minimum support by
-        popcount — their rules are synthesized exactly as estimation would
-        have produced them — converts the surviving stack to float **once**
-        per level, and emits the *overall* sub-population's request.  The
-        caller runs the round's requests
+        Composes the level's treated stacks from packed item bitsets,
+        prunes candidates without support variation by popcount — their
+        rules are synthesized exactly as the scalar path would reject them
+        — converts the surviving stack to float **once** per level, and
+        emits the *overall* sub-population's request.  The caller runs it
         (:meth:`RuleEvaluator.estimate_requests`), calls
         :meth:`_LevelWork.followup` to get the kept columns' protected /
         non-protected requests, runs those, and then
         :meth:`_LevelWork.finish`.
-
-        ``gram_subtraction`` attaches the Gram donor to the larger
-        protected/non-protected side (see :meth:`_subpopulation_entries`);
-        ``throughput`` marks the level for the merged cross-context round
-        driver, which bypasses the result cache — so no content digest is
-        computed at all (the digest is a real fixed cost in the tiny-world
-        regime, and a merged result must never seed the bit-exact path's
-        cache).
         """
         interventions = list(interventions)
         for intervention in interventions:
             if intervention.is_empty():
                 raise EstimationError("intervention pattern must be non-empty")
         work = _LevelWork(self, interventions)
-        work.gram_subtraction = gram_subtraction
-        work.throughput = throughput
         if not interventions:
             work._const_rules = []
             return work
@@ -558,7 +464,7 @@ class GroupEvaluationContext:
             return work
 
         pruned, survivors, treated_rows, counts, prot_counts, raw_s, packed_s = (
-            self._compose_level(interventions, use_bitsets)
+            self._compose_level(interventions)
         )
         work.pruned = pruned
         if not survivors:
@@ -567,15 +473,10 @@ class GroupEvaluationContext:
 
         float_rows = treated_rows.astype(np.float64)
         base_digest = None
-        if self.evaluator.cache is not None and not throughput:
-            base_digest = (
-                packed_rows_digest(packed_s, self.subtable.n_rows)
-                if packed_s is not None
-                else treated_rows_digest(treated_rows)
-            )
+        if self.evaluator.cache is not None:
+            base_digest = packed_rows_digest(packed_s, self.subtable.n_rows)
         work._survivor_count = len(survivors)
         work._treated_rows = treated_rows
-        work._float_rows = float_rows
         work._packed = packed_s
         work._counts = counts
         work._prot_counts = prot_counts
@@ -598,8 +499,8 @@ class GroupEvaluationContext:
         kept_pos = work._kept_pos
         if len(kept_pos) != work._survivor_count:
             treated_rows = work._treated_rows[kept_pos]
-            packed = work._packed[kept_pos] if work._packed is not None else None
-            counts = work._counts[kept_pos] if work._counts is not None else None
+            packed = work._packed[kept_pos]
+            counts = work._counts[kept_pos]
             prot_counts = (
                 work._prot_counts[kept_pos] if work._prot_counts is not None else None
             )
@@ -611,33 +512,9 @@ class GroupEvaluationContext:
             prot_counts = work._prot_counts
             raw_s = work._raw_adjustments
         base_digest = None
-        if self.evaluator.cache is not None and not work.throughput:
-            base_digest = (
-                packed_rows_digest(packed, self.subtable.n_rows)
-                if packed is not None
-                else treated_rows_digest(treated_rows)
-            )
-        nonprot_counts = (
-            counts - prot_counts
-            if counts is not None and prot_counts is not None
-            else None
-        )
-        prot_donor = nonprot_donor = None
-        if (
-            work.gram_subtraction
-            and self.protected_table is not None
-            and self.non_protected_table is not None
-        ):
-            # The two sides partition the subtable, so the *larger* one's
-            # Gram can be derived by subtracting the smaller side's from
-            # the parent's memoised Gram (causal/batch.py).  The choice is
-            # a pure function of this context's row split — never of the
-            # round's composition — which preserves the frontier's
-            # composition-independence.
-            if self.protected_count > self.coverage_count - self.protected_count:
-                prot_donor = (self.subtable, self.non_protected_table)
-            else:
-                nonprot_donor = (self.subtable, self.protected_table)
+        if self.evaluator.cache is not None:
+            base_digest = packed_rows_digest(packed, self.subtable.n_rows)
+        nonprot_counts = counts - prot_counts if prot_counts is not None else None
         work.requests = []
         prot = self._population_entry(
             work,
@@ -649,7 +526,6 @@ class GroupEvaluationContext:
             raw_s,
             base_digest,
             "prot",
-            donor=prot_donor,
         )
         nonprot = self._population_entry(
             work,
@@ -661,7 +537,6 @@ class GroupEvaluationContext:
             raw_s,
             base_digest,
             "nonprot",
-            donor=nonprot_donor,
         )
         return prot, nonprot
 
@@ -670,15 +545,7 @@ class GroupEvaluationContext:
         if intervention.is_empty():
             raise EstimationError("intervention pattern must be non-empty")
         if self.coverage_count == 0:
-            return PrescriptionRule(
-                grouping=self.grouping,
-                intervention=intervention,
-                utility=0.0,
-                utility_protected=0.0,
-                utility_non_protected=0.0,
-                coverage_count=0,
-                protected_coverage_count=0,
-            )
+            return self._zero_coverage_rule(intervention)
         evaluator = self.evaluator
         treated = intervention.mask(self.subtable)
         adjustment = evaluator.adjustment_for(intervention.attributes)
@@ -700,88 +567,6 @@ class GroupEvaluationContext:
         )
 
         return self._assemble_rule(intervention, overall, prot, nonprot)
-
-    def evaluate_batch(
-        self, interventions: Sequence[Pattern], use_bitsets: bool = False
-    ) -> list[PrescriptionRule]:
-        """Evaluate a whole lattice level of interventions at once.
-
-        The scalar :meth:`evaluate` runs up to three OLS solves per
-        intervention; here the level's treated masks are stacked into one
-        ``(n, m)`` matrix per adjustment set and the overall / protected /
-        non-protected CATEs come out of three batched FWL estimations
-        (:func:`repro.causal.batch.estimate_cate_level`) — three GEMMs per
-        level.  Results match :meth:`evaluate` per rule to working
-        precision (bit-identically on degenerate fallbacks), and the level
-        is the cache unit (see
-        :meth:`repro.parallel.cache.EstimationCache.level_key`).
-
-        With ``use_bitsets`` (``config.bitset_masks`` outside the frontier
-        path) the stacks are AND-composed from packed item bitsets — one
-        AND over ``n/64`` words per item instead of a boolean evaluation
-        per candidate.  The stack itself is identical either way, and the
-        reference kernel consumes it unchanged, so results are bit-exact
-        across the flag.  (Popcount *pruning* lives in the frontier path,
-        :meth:`begin_level`, whose row-major kernel extracts groups
-        C-contiguously and is therefore width-stable under column removal —
-        the column-major reference kernel is not, because numpy's
-        column fancy-indexing flips the operand layout BLAS sees.)
-        """
-        interventions = list(interventions)
-        for intervention in interventions:
-            if intervention.is_empty():
-                raise EstimationError("intervention pattern must be non-empty")
-        if not interventions:
-            return []
-        if self.coverage_count == 0:
-            return [
-                self._zero_coverage_rule(intervention)
-                for intervention in interventions
-            ]
-        evaluator = self.evaluator
-        m = len(interventions)
-        # One treated-mask stack and one backdoor set per candidate; the
-        # level driver groups equal adjustment sets onto shared GEMMs.
-        pruned, survivors, treated_rows, _counts, _prot, adjustments, _packed = (
-            self._compose_level(interventions, use_bitsets, prune=False)
-        )
-        # The reference kernel consumes column-major stacks; the transpose
-        # must be materialised C-contiguous because the kernel's float
-        # conversion preserves layout and BLAS rounds differently under a
-        # transposed memory order — the copy is what keeps this path
-        # bit-identical to the boolean-composition spelling.
-        treated_matrix = np.ascontiguousarray(treated_rows.T)
-
-        overall = evaluator.cate_level(self.subtable, treated_matrix, adjustments)
-        prot = (
-            evaluator.cate_level(
-                self.protected_table,
-                treated_matrix[self.sub_protected, :],
-                adjustments,
-            )
-            if self.protected_table is not None
-            else [None] * len(survivors)
-        )
-        nonprot = (
-            evaluator.cate_level(
-                self.non_protected_table,
-                treated_matrix[~self.sub_protected, :],
-                adjustments,
-            )
-            if self.non_protected_table is not None
-            else [None] * len(survivors)
-        )
-        rules: list[PrescriptionRule] = []
-        pos = 0
-        for j, intervention in enumerate(interventions):
-            rule = pruned.get(j)
-            if rule is None:
-                rule = self._assemble_rule(
-                    intervention, overall[pos], prot[pos], nonprot[pos]
-                )
-                pos += 1
-            rules.append(rule)
-        return rules
 
     def _assemble_rule(
         self,
@@ -907,52 +692,6 @@ class RuleEvaluator:
             )
         return self.estimator.estimate(subtable, treated, self.outcome, effective)
 
-    def cate_level(
-        self,
-        subtable: Table,
-        treated_matrix: np.ndarray,
-        adjustments: Sequence[tuple[str, ...]],
-    ) -> list[CateResult]:
-        """Whole-level :meth:`cate`: per-column adjustment sets.
-
-        Applies the scalar guards — the minimum-subgroup cutoff (a property
-        of the subtable) and the constant-within-subgroup restriction of
-        each column's adjustment set — then routes through the estimator's
-        level driver (:func:`repro.causal.batch.estimate_cate_level`),
-        memoised per level when a cache is attached.
-        """
-        n = subtable.n_rows
-        m = treated_matrix.shape[1]
-        if n < self.min_subgroup_size:
-            n_treated = treated_matrix.sum(axis=0).tolist()
-            return [
-                CateResult.invalid(
-                    f"subgroup smaller than {self.min_subgroup_size}",
-                    n=n,
-                    n_treated=int(n_treated[j]),
-                    n_control=int(n - n_treated[j]),
-                    adjustment=tuple(adjustments[j]),
-                )
-                for j in range(m)
-            ]
-        effective = [
-            self._effective_adjustment(subtable, adjustment)
-            for adjustment in adjustments
-        ]
-        if self.cache is not None:
-            return self.cache.get_or_estimate_level(
-                self.estimator, subtable, treated_matrix, self.outcome, effective
-            )
-        return self.estimator.estimate_level(
-            subtable,
-            treated_matrix,
-            self.outcome,
-            effective,
-            factorization_for=lambda adjustment: self._local_factorization(
-                subtable, adjustment
-            ),
-        )
-
     @staticmethod
     def _effective_adjustment(
         subtable: Table, adjustment: tuple[str, ...]
@@ -980,59 +719,37 @@ class RuleEvaluator:
             memo[adjustment] = effective
         return effective
 
-    def _local_factorization(
-        self, subtable: Table, effective: tuple[str, ...], rows: bool = False,
-        donor=None,
-    ):
+    def _local_factorization(self, subtable: Table, effective: tuple[str, ...]):
         """Design factorization for cache-free runs (``cache_size=0``).
 
         With an :class:`EstimationCache` attached, factorizations live in
-        its dedicated store (:meth:`get_or_factorize` /
-        :meth:`get_or_factorize_rows`); without one, this small
-        evaluator-local LRU still amortises the factorization across the
-        lattice levels and the three sub-populations of each context.
-        ``rows`` selects the fused kernel's Gram build (its own key space);
-        ``donor`` (rows only) selects the Gram-subtraction build, keyed by
-        the donor tables' fingerprints because its bits differ from a
-        direct build's.
+        its dedicated store (:meth:`EstimationCache.get_or_factorize_rows`);
+        without one, this small evaluator-local LRU still amortises the
+        factorization across the lattice levels of each context.
         """
-        from repro.causal.batch import build_factorization, build_rows_factorization
+        from repro.causal import batch
 
-        if donor is None:
-            key = (rows, subtable.fingerprint(), self.outcome, effective)
-        else:
-            key = (
-                rows,
-                subtable.fingerprint(),
-                donor[0].fingerprint(),
-                donor[1].fingerprint(),
-                self.outcome,
-                effective,
-            )
+        key = (subtable.fingerprint(), self.outcome, effective)
         factorization = self._factorization_memo.get(key)
         if factorization is None:
-            if rows:
-                factorization = build_rows_factorization(
-                    subtable, self.outcome, effective, donor=donor
-                )
-            else:
-                factorization = build_factorization(subtable, self.outcome, effective)
+            factorization = batch.build_rows_factorization(
+                subtable, self.outcome, effective
+            )
             self._factorization_memo[key] = factorization
             while len(self._factorization_memo) > 512:
                 self._factorization_memo.pop(next(iter(self._factorization_memo)))
         return factorization
 
     def estimate_requests(self, requests: Sequence[_SubRequest]) -> None:
-        """Answer a frontier round's level requests, filling ``results``.
+        """Answer (sub-population, level) requests, filling ``results``.
 
-        One request = one (sub-population, level) batch.  Each is memoised
-        under its level-granularity key
+        Each request is memoised under its level-granularity key
         (:meth:`repro.parallel.cache.EstimationCache.rows_level_key`) and
         computed through the fused row-major kernel on a miss.  Per-request
-        bits depend only on the request's own content — never on how many
-        other contexts share the round — which is what keeps frontier
-        results identical across executors and chunkings (the serial ≡
-        process contract of :mod:`repro.parallel`).
+        bits depend only on the request's own content — never on which
+        other grouping patterns were mined before it or by which worker —
+        which is what keeps results identical across executors and
+        chunkings (the serial ≡ process contract of :mod:`repro.parallel`).
         """
         cache = self.cache
         estimator = self.estimator
@@ -1050,22 +767,11 @@ class RuleEvaluator:
                 if cached is not None:
                     request.results = cached
                     continue
-            def factorization_for(adjustment, request=request):
-                store = request.fac_store
-                factorization = store.get(adjustment)
-                if factorization is None:
-                    if cache is not None:
-                        factorization = cache.get_or_factorize_rows(
-                            request.table, self.outcome, adjustment,
-                            donor=request.donor,
-                        )
-                    else:
-                        factorization = self._local_factorization(
-                            request.table, adjustment, rows=True,
-                            donor=request.donor,
-                        )
-                    store[adjustment] = factorization
-                return factorization
+
+            def factorization_for(adjustment, table=request.table):
+                if cache is not None:
+                    return cache.get_or_factorize_rows(table, self.outcome, adjustment)
+                return self._local_factorization(table, adjustment)
 
             request.results = estimator.estimate_level_rows(
                 request.table,
@@ -1078,47 +784,6 @@ class RuleEvaluator:
             )
             if key is not None:
                 cache.put(key, request.results)
-
-    def estimate_requests_merged(self, requests: Sequence[_SubRequest]) -> None:
-        """Throughput-mode sibling of :meth:`estimate_requests`.
-
-        Routes the whole round through one merged pass
-        (:func:`repro.causal.batch.estimate_rows_merged`): same-(table
-        content, adjustment set) batches from *different* grouping
-        contexts share one GEMM pair at the concatenated width, and the
-        FWL tail runs once for the round.  Merged widths change per-column
-        rounding, so this path deliberately gives up the serial ≡ process
-        bit-identity contract — it is certified by the 36-world scenario
-        oracle instead — and it never reads or writes the result cache
-        (merged bits must not seed the bit-exact path, and the digest /
-        lookup fixed costs are precisely what the many-tiny-contexts
-        regime pays for).  Factorizations still go through the shared
-        factorization store: their bits depend only on table content and
-        donor, never on round composition, so sharing them is safe.
-        """
-        from repro.causal.batch import estimate_rows_merged
-
-        tasks = []
-        for request in requests:
-            def factorization_for(adjustment, request=request):
-                store = request.fac_store
-                factorization = store.get(adjustment)
-                if factorization is None:
-                    if self.cache is not None:
-                        factorization = self.cache.get_or_factorize_rows(
-                            request.table, self.outcome, adjustment,
-                            donor=request.donor,
-                        )
-                    else:
-                        factorization = self._local_factorization(
-                            request.table, adjustment, rows=True,
-                            donor=request.donor,
-                        )
-                    store[adjustment] = factorization
-                return factorization
-
-            tasks.append((request, factorization_for))
-        estimate_rows_merged(tasks, self.outcome)
 
     def context(self, grouping: Pattern) -> GroupEvaluationContext:
         """Build the cached per-group context for ``grouping``."""

@@ -3,18 +3,23 @@
 The batch engine (:mod:`repro.causal.batch`) is only allowed to change
 *latency*: every estimate must agree with the scalar
 :class:`~repro.causal.estimators.LinearAdjustmentEstimator` to rtol 1e-9,
-exactly (bit-for-bit) on the degenerate fallbacks, and the mined rulesets of
-every problem variant must be identical rule-for-rule.  This file is the
-contract:
+exactly (bit-for-bit) on the positivity and degenerate fallbacks, and the
+mined rulesets of every problem variant must be identical rule-for-rule.
+This file is the contract:
 
-- column-by-column equality of :func:`estimate_cate_batch` against
+- candidate-by-candidate equality of the level kernel
+  (:func:`~repro.causal.batch.estimate_level_rows`) against
   ``estimator.estimate`` on synthetic, German, and Stack Overflow data;
 - exactness on rank-deficient designs (they take the scalar path inside the
-  batch engine);
-- property tests: batch-of-one ≡ scalar, column-permutation invariance,
-  FWL affine equivariance of the batched estimates;
+  batch engine) and on absent one-hot categories;
+- property tests: batch-of-one ≡ scalar, candidate-permutation invariance,
+  FWL affine equivariance of the batched estimates, mixed-adjustment levels
+  ≡ one call per adjustment group;
 - end-to-end: FairCap with ``batch_estimation=True`` (the default) selects
   the same rules as the scalar path on every Table-4 variant.
+
+The level engine's own suite (``test_frontier_differential.py``) covers the
+kernel's fallbacks and the mining-level contracts across executors.
 
 The golden snapshots under ``tests/experiments/goldens/`` complete the
 picture: they were recorded before the batch engine existed and must keep
@@ -31,9 +36,10 @@ import pytest
 
 from tests.conftest import build_toy_dag, build_toy_table
 from repro.causal.batch import (
+    DesignFactorization,
     build_factorization,
-    estimate_cate_batch,
-    estimate_cate_level,
+    build_rows_factorization,
+    estimate_level_rows,
 )
 from repro.causal.estimators import LinearAdjustmentEstimator
 from repro.core.config import FairCapConfig
@@ -67,22 +73,32 @@ def assert_cate_close(got, want, exact: bool = False) -> None:
             assert a == pytest.approx(b, rel=RTOL, abs=1e-12), field
 
 
+def rows_kernel(table, masks, outcome, adjustments):
+    """The level kernel on an ``(n, m)`` mask matrix, one adjustment per column."""
+    if isinstance(adjustments, tuple):
+        adjustments = [adjustments] * masks.shape[1]
+    return estimate_level_rows(
+        table, np.ascontiguousarray(masks.T), outcome, adjustments
+    )
+
+
 def assert_batch_matches_scalar(
-    table, treated_matrix, outcome, adjustment, exact: bool = False
-) -> None:
-    batch = estimate_cate_batch(table, treated_matrix, outcome, adjustment)
-    assert len(batch) == treated_matrix.shape[1]
+    table, masks, outcome, adjustments, exact: bool = False
+) -> list:
+    batch = rows_kernel(table, masks, outcome, adjustments)
+    assert len(batch) == masks.shape[1]
     for j, got in enumerate(batch):
-        want = ESTIMATOR.estimate(table, treated_matrix[:, j], outcome, adjustment)
+        adjustment = adjustments if isinstance(adjustments, tuple) else adjustments[j]
+        want = ESTIMATOR.estimate(table, masks[:, j], outcome, adjustment)
         assert_cate_close(got, want, exact=exact)
+    return batch
 
 
 def random_masks(rng, n: int, m: int) -> np.ndarray:
-    masks = rng.random((n, m)) < rng.uniform(0.15, 0.6, size=m)
-    return masks
+    return rng.random((n, m)) < rng.uniform(0.15, 0.6, size=m)
 
 
-# -- column-by-column equality on the bundled datasets -------------------------
+# -- row-by-row equality on the bundled datasets -------------------------------
 
 
 def test_batch_matches_scalar_synth(rng):
@@ -131,47 +147,46 @@ def test_rank_deficient_design_exact(rng):
             "y": rng.normal(size=n),
         }
     )
-    factorization = build_factorization(table, "y", ("z1", "z2"))
+    factorization = build_rows_factorization(table, "y", ("z1", "z2"))
+    assert isinstance(factorization, DesignFactorization)
     assert factorization.degenerate
     masks = random_masks(rng, n, 6)
     assert_batch_matches_scalar(table, masks, "y", ("z1", "z2"), exact=True)
 
 
 def test_treated_collinear_with_adjustment_exact(rng):
-    """t inside col(W): per-column scalar fallback, bit-identical."""
+    """t inside col(W): per-row scalar fallback, bit-identical."""
     n = 400
     group = rng.choice(["g0", "g1"], size=n).astype(object)
     table = Table({"z": group, "y": rng.normal(size=n)})
     treated = group == "g1"  # exactly the one-hot column of z
     masks = np.column_stack([treated, random_masks(rng, n, 2)[:, 0]])
-    assert_batch_matches_scalar(table, masks, "y", ("z",), exact=False)
-    batch = estimate_cate_batch(table, masks, "y", ("z",))
+    batch = assert_batch_matches_scalar(table, masks, "y", ("z",))
     want = ESTIMATOR.estimate(table, treated, "y", ("z",))
     assert_cate_close(batch[0], want, exact=True)
 
 
 def test_absent_categories_not_degenerate(rng):
-    """Zero one-hot columns (absent categories) stay on the fast path."""
+    """Zero one-hot columns (absent categories) stay off the scalar fallback."""
     n = 500
     z = rng.choice(["a", "b", "c", "d"], size=n).astype(object)
-    y = rng.normal(size=n)
-    table = Table({"z": z, "y": y})
+    table = Table({"z": z, "y": rng.normal(size=n)})
     sub = table.filter(np.asarray(z != "c"))  # category 'c' never appears
-    factorization = build_factorization(sub, "y", ("z",))
-    assert not factorization.degenerate
+    assert not build_factorization(sub, "y", ("z",)).degenerate
+    assert not build_rows_factorization(sub, "y", ("z",)).degenerate
     masks = random_masks(rng, sub.n_rows, 8)
     assert_batch_matches_scalar(sub, masks, "y", ("z",))
 
 
 def test_positivity_and_small_batches(rng):
-    """Empty treated/control columns give the scalar invalid results."""
+    """Empty treated/control rows give the scalar invalid results."""
     table = build_toy_table(n=200, seed=5)
     masks = np.zeros((200, 3), dtype=bool)
     masks[:, 1] = True
     masks[:100, 2] = True
-    # Columns 0/1 violate positivity -> invalid results, bit-identical to
-    # the scalar spelling; column 2 is a regular estimate (rtol).
-    batch = estimate_cate_batch(table, masks, "Income", ("City",))
+    # Candidates 0/1 violate positivity -> invalid results, bit-identical to
+    # the scalar spelling; candidate 2 is a regular estimate (rtol).
+    batch = rows_kernel(table, masks, "Income", ("City",))
     for j, exact in ((0, True), (1, True), (2, False)):
         want = ESTIMATOR.estimate(table, masks[:, j], "Income", ("City",))
         assert_cate_close(batch[j], want, exact=exact)
@@ -190,14 +205,12 @@ def test_batch_of_one_matches_scalar(seed):
 
 
 def test_column_permutation_invariance(rng):
-    """Permuting batch columns permutes results bit-for-bit (fixed width)."""
+    """Permuting a level's candidate columns permutes results bit-for-bit."""
     table = build_toy_table(n=600, seed=9)
     masks = random_masks(rng, 600, 12)
     perm = rng.permutation(12)
-    base = estimate_cate_batch(table, masks, "Income", ("City",))
-    permuted = estimate_cate_batch(
-        table, np.ascontiguousarray(masks[:, perm]), "Income", ("City",)
-    )
+    base = rows_kernel(table, masks, "Income", ("City",))
+    permuted = rows_kernel(table, masks[:, perm], "Income", ("City",))
     for pos, j in enumerate(perm):
         assert_cate_close(permuted[pos], base[j], exact=True)
 
@@ -208,8 +221,8 @@ def test_fwl_affine_equivariance(rng):
     a, b = 3.5, -20_000.0
     scaled = table.with_column("Income", a * table.values("Income") + b)
     masks = random_masks(rng, 500, 10)
-    base = estimate_cate_batch(table, masks, "Income", ("City", "Gender"))
-    trans = estimate_cate_batch(scaled, masks, "Income", ("City", "Gender"))
+    base = rows_kernel(table, masks, "Income", ("City", "Gender"))
+    trans = rows_kernel(scaled, masks, "Income", ("City", "Gender"))
     for got, want in zip(trans, base):
         assert got.valid == want.valid
         if not want.valid:
@@ -220,35 +233,35 @@ def test_fwl_affine_equivariance(rng):
 
 
 def test_level_driver_matches_batch(rng):
-    """estimate_cate_level groups mixed adjustments correctly."""
+    """Candidates sharing an adjustment set form one FWL group, bit-for-bit."""
     table = build_toy_table(n=400, seed=21)
     masks = random_masks(rng, 400, 9)
     adjustments = [("City",), ("City", "Gender"), ()] * 3
-    level = estimate_cate_level(table, masks, "Income", adjustments)
+    level = rows_kernel(table, masks, "Income", adjustments)
     for j, adjustment in enumerate(adjustments):
         same_adj = [i for i, adj in enumerate(adjustments) if adj == adjustment]
-        grouped = estimate_cate_batch(
-            table, masks[:, same_adj], "Income", adjustment
-        )
-        want = grouped[same_adj.index(j)]
-        assert_cate_close(level[j], want, exact=True)
+        grouped = rows_kernel(table, masks[:, same_adj], "Income", adjustment)
+        assert_cate_close(level[j], grouped[same_adj.index(j)], exact=True)
 
 
 # -- end-to-end: batch-mined rulesets are identical to scalar-path rulesets ----
 
 
-def _assert_same_ruleset(batch_result, scalar_result) -> None:
-    assert batch_result.nodes_evaluated == scalar_result.nodes_evaluated
-    assert len(batch_result.candidate_rules) == len(scalar_result.candidate_rules)
-    for got, want in zip(batch_result.candidate_rules, scalar_result.candidate_rules):
+def _assert_same_ruleset(got_result, want_result, exact: bool = False) -> None:
+    assert got_result.nodes_evaluated == want_result.nodes_evaluated
+    assert len(got_result.candidate_rules) == len(want_result.candidate_rules)
+    for got, want in zip(got_result.candidate_rules, want_result.candidate_rules):
         assert got.grouping == want.grouping
         assert got.intervention == want.intervention
         for field in ("utility", "utility_protected", "utility_non_protected"):
             a, b = getattr(got, field), getattr(want, field)
-            assert a == pytest.approx(b, rel=RTOL, abs=1e-12), field
+            if exact:
+                assert a == b, field
+            else:
+                assert a == pytest.approx(b, rel=RTOL, abs=1e-12), field
     assert [
-        (r.grouping, r.intervention) for r in batch_result.ruleset.rules
-    ] == [(r.grouping, r.intervention) for r in scalar_result.ruleset.rules]
+        (r.grouping, r.intervention) for r in got_result.ruleset.rules
+    ] == [(r.grouping, r.intervention) for r in want_result.ruleset.rules]
     for field in (
         "coverage",
         "protected_coverage",
@@ -256,8 +269,8 @@ def _assert_same_ruleset(batch_result, scalar_result) -> None:
         "expected_utility_protected",
         "expected_utility_non_protected",
     ):
-        assert getattr(batch_result.metrics, field) == pytest.approx(
-            getattr(scalar_result.metrics, field), rel=1e-9, abs=1e-12
+        assert getattr(got_result.metrics, field) == pytest.approx(
+            getattr(want_result.metrics, field), rel=1e-9, abs=1e-12
         ), field
 
 
@@ -269,10 +282,14 @@ def _run_both(table, schema, dag, protected, config):
     return batch, scalar
 
 
-def test_faircap_batch_equals_scalar_synth():
+def _toy_problem():
     table = build_toy_table(n=900, seed=11)
     protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    batch, scalar = _run_both(table, None, build_toy_dag(), protected, FairCapConfig())
+    return table, None, build_toy_dag(), protected
+
+
+def test_faircap_batch_equals_scalar_synth():
+    batch, scalar = _run_both(*_toy_problem(), FairCapConfig())
     _assert_same_ruleset(batch, scalar)
 
 
@@ -298,8 +315,6 @@ def test_faircap_batch_equals_scalar_all_variants(request, dataset_fixture):
 
 def test_stratified_estimator_ignores_batch_flag():
     """StratifiedEstimator has no batched path; the flag must be harmless."""
-    table = build_toy_table(n=900, seed=11)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
     config = FairCapConfig(estimator="stratified")
-    batch, scalar = _run_both(table, None, build_toy_dag(), protected, config)
+    batch, scalar = _run_both(*_toy_problem(), config)
     assert batch.ruleset.rules == scalar.ruleset.rules

@@ -1,25 +1,28 @@
-"""Differential suite for frontier batching and the fused row-major kernel.
+"""Differential suite for the level engine and the fused row-major kernel.
 
-Contract (mirroring the PR-3 batch engine's):
+Step 2 mines each grouping pattern's treatment lattice to completion, one
+level — the traversal's frontier — at a time: a level's candidates are
+composed from packed item bitsets, popcount-pruned, and estimated through
+:func:`repro.causal.batch.estimate_level_rows`.  Contract:
 
-- :func:`repro.causal.batch.estimate_level_rows` agrees with the reference
-  :func:`~repro.causal.batch.estimate_cate_level` column by column to rtol
-  1e-9, and bit-for-bit on every fallback path (positivity, degenerate
-  designs, minimum-subgroup guards) — the scalar path defines those;
-- the Gram factorization routes ill-conditioned designs to the QR build;
-- FairCap with ``frontier_batching=True`` (the default) explores the same
-  lattice and selects the same rules as the per-context PR-3 engine on
-  every flag combination, and serial ≡ process(2) stays bit-identical with
-  the frontier on;
-- frontier results are independent of how contexts are chunked into
-  rounds (composition independence — the property that makes the
-  serial ≡ process contract hold at any worker count).
+- the row-major kernel agrees with the scalar
+  :meth:`~repro.causal.estimators.LinearAdjustmentEstimator.estimate` to
+  rtol 1e-9, and bit-for-bit on every fallback path (positivity, degenerate
+  designs) — the scalar path defines those;
+- the Gram factorization deflates absent one-hot categories off its
+  diagonal instead of falling back;
+- the level engine explores the same lattice as the scalar per-candidate
+  reference — node for node, keep flag for keep flag — and serial ≡
+  process(2) and cached ≡ uncached stay bit-identical;
+- a grouping pattern's results never depend on which patterns were mined
+  before it with the same evaluator (composition independence — the
+  property that makes the serial ≡ process contract hold at any chunking);
+- estimators without a batched path never enter the level engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,18 +32,20 @@ from repro.causal.batch import (
     DesignFactorization,
     GramFactorization,
     build_rows_factorization,
-    estimate_cate_level,
     estimate_level_rows,
 )
+from repro.causal.estimators import LinearAdjustmentEstimator
 from repro.core.config import FairCapConfig
 from repro.core.faircap import FairCap
-from repro.core.intervention import frontier_mine_patterns, intervention_items
+from repro.core.intervention import intervention_items, mine_grouping
 from repro.mining.patterns import Pattern
 from repro.rules.protected import ProtectedGroup
-from repro.rules.utility import RuleEvaluator
+from repro.rules.utility import GroupEvaluationContext, RuleEvaluator
 from repro.tabular.table import Table
+from repro.utils.errors import EstimationError
 
 RTOL = 1e-9
+ESTIMATOR = LinearAdjustmentEstimator()
 
 
 def assert_results_close(got, want, exact: bool = False) -> None:
@@ -60,23 +65,30 @@ def assert_results_close(got, want, exact: bool = False) -> None:
                 assert a == pytest.approx(b, rel=RTOL, abs=1e-12), field
 
 
-def random_masks(rng, n: int, m: int) -> np.ndarray:
-    return rng.random((n, m)) < rng.uniform(0.15, 0.6, size=m)
+def random_rows(rng, m: int, n: int) -> np.ndarray:
+    """An ``(m, n)`` row-major stack of random treated masks."""
+    return rng.random((m, n)) < rng.uniform(0.15, 0.6, size=(m, 1))
 
 
-# -- fused kernel vs reference kernel ------------------------------------------
+def scalar_reference(table, rows, outcome, adjustments) -> list:
+    return [
+        ESTIMATOR.estimate(table, row, outcome, adjustment)
+        for row, adjustment in zip(rows, adjustments)
+    ]
+
+
+# -- fused kernel vs the scalar reference --------------------------------------
 
 
 def test_rows_kernel_matches_reference(rng):
+    """One level mixing adjustment sets, with both positivity failures."""
     table = build_toy_table(n=701, seed=3)
-    masks = random_masks(rng, 701, 18)
-    masks[:, 0] = False  # positivity: empty treated
-    masks[:, 1] = True  # positivity: empty control
+    rows = random_rows(rng, 18, 701)
+    rows[0] = False  # positivity: empty treated
+    rows[1] = True  # positivity: empty control
     adjustments = [("City",), ("City", "Gender"), ()] * 6
-    want = estimate_cate_level(table, masks, "Income", adjustments)
-    got = estimate_level_rows(
-        table, np.ascontiguousarray(masks.T), "Income", adjustments
-    )
+    got = estimate_level_rows(table, rows, "Income", adjustments)
+    want = scalar_reference(table, rows, "Income", adjustments)
     assert_results_close(got, want)
     # The positivity rejections are the scalar spelling bit-for-bit.
     assert_results_close(got[:2], want[:2], exact=True)
@@ -85,8 +97,7 @@ def test_rows_kernel_matches_reference(rng):
 def test_rows_kernel_shared_float_and_counts(rng):
     """Pre-converted float stacks and popcount counts change nothing."""
     table = build_toy_table(n=500, seed=5)
-    masks = random_masks(rng, 500, 7)
-    rows = np.ascontiguousarray(masks.T)
+    rows = random_rows(rng, 7, 500)
     adjustments = [("City",)] * 7
     plain = estimate_level_rows(table, rows, "Income", adjustments)
     shared = estimate_level_rows(
@@ -101,18 +112,17 @@ def test_rows_kernel_shared_float_and_counts(rng):
 
 
 def test_rows_kernel_degenerate_design_exact(rng):
-    """Duplicated adjustment columns: scalar fallback, bit-identical."""
-    n = 300
-    z = rng.choice(["a", "b", "c"], size=n).astype(object)
-    table = Table({"z1": z, "z2": z.copy(), "y": rng.normal(size=n)})
-    factorization = build_rows_factorization(table, "y", ("z1", "z2"))
+    """A design wider than its table: scalar fallback, bit-identical."""
+    n = 12
+    z = np.array([f"c{i}" for i in range(n)], dtype=object)  # n-1 dummies + 1
+    table = Table({"z": z, "x": rng.normal(size=n), "y": rng.normal(size=n)})
+    factorization = build_rows_factorization(table, "y", ("z", "x"))
     assert isinstance(factorization, DesignFactorization)
     assert factorization.degenerate
-    masks = random_masks(rng, n, 5)
-    want = estimate_cate_level(table, masks, "y", [("z1", "z2")] * 5)
-    got = estimate_level_rows(
-        table, np.ascontiguousarray(masks.T), "y", [("z1", "z2")] * 5
-    )
+    rows = random_rows(rng, 5, n)
+    adjustments = [("z", "x")] * 5
+    got = estimate_level_rows(table, rows, "y", adjustments)
+    want = scalar_reference(table, rows, "y", adjustments)
     assert_results_close(got, want, exact=True)
 
 
@@ -127,182 +137,139 @@ def test_gram_factorization_drops_absent_categories(rng):
     # and the absent category's exactly-zero column deflates off the Gram
     # diagonal.
     assert factorization.rank == 3
-    masks = random_masks(rng, sub.n_rows, 6)
-    want = estimate_cate_level(sub, masks, "y", [("z",)] * 6)
-    got = estimate_level_rows(
-        sub, np.ascontiguousarray(masks.T), "y", [("z",)] * 6
-    )
-    assert_results_close(got, want)
+    rows = random_rows(rng, 6, sub.n_rows)
+    adjustments = [("z",)] * 6
+    got = estimate_level_rows(sub, rows, "y", adjustments)
+    assert_results_close(got, scalar_reference(sub, rows, "y", adjustments))
 
 
-def test_rows_kernel_empty_and_shape_checks(rng):
+def test_rows_kernel_empty_and_shape_checks():
     table = build_toy_table(n=100, seed=1)
     assert estimate_level_rows(table, np.empty((0, 100), dtype=bool), "Income", []) == []
-    from repro.utils.errors import EstimationError
-
     with pytest.raises(EstimationError):
         estimate_level_rows(table, np.zeros((2, 99), dtype=bool), "Income", [(), ()])
     with pytest.raises(EstimationError):
         estimate_level_rows(table, np.zeros((2, 100), dtype=bool), "Income", [()])
 
 
-# -- frontier mining vs per-context mining -------------------------------------
+# -- level-engine mining -------------------------------------------------------
+
+
+def _toy_problem(n: int = 900, seed: int = 11):
+    table = build_toy_table(n=n, seed=seed)
+    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
+    return table, build_toy_dag(), protected
 
 
 def _mine(config, table, dag, protected):
     return FairCap(config).run(table, None, dag, protected)
 
 
-def _assert_same_mining(got, want, exact: bool = False) -> None:
+def _assert_same_mining(got, want) -> None:
+    """Bit-identical Step-2 output: every candidate and the selection."""
     assert got.nodes_evaluated == want.nodes_evaluated
     assert len(got.candidate_rules) == len(want.candidate_rules)
     for g, w in zip(got.candidate_rules, want.candidate_rules):
         assert g.grouping == w.grouping and g.intervention == w.intervention
         for field in ("utility", "utility_protected", "utility_non_protected"):
-            a, b = getattr(g, field), getattr(w, field)
-            if exact:
-                assert a == b, field
-            else:
-                assert a == pytest.approx(b, rel=RTOL, abs=1e-12), field
-    assert [(r.grouping, r.intervention) for r in got.ruleset.rules] == [
-        (r.grouping, r.intervention) for r in want.ruleset.rules
-    ]
+            assert getattr(g, field) == getattr(w, field), field
+    assert got.ruleset.rules == want.ruleset.rules
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        {"bitset_masks": True, "frontier_batching": False},
-        {"bitset_masks": False, "frontier_batching": True},
-        {"bitset_masks": True, "frontier_batching": True},
-    ],
-)
-def test_faircap_flag_matrix_matches_pr3_engine(flags):
-    table = build_toy_table(n=900, seed=11)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    reference = _mine(
-        FairCapConfig(bitset_masks=False, frontier_batching=False),
-        table,
-        dag,
-        protected,
-    )
-    got = _mine(FairCapConfig(**flags), table, dag, protected)
-    # Bitset pruning alone re-runs the reference kernel on identical
-    # stacks: bit-exact.  Frontier rounds change GEMM/reduction shapes:
-    # working-precision agreement.
-    _assert_same_mining(got, reference, exact=not flags["frontier_batching"])
+#: German groupings whose treatment lattices reach level 2 and beyond.
+GERMAN_GROUPINGS = [
+    Pattern.of(PersonalStatus="male single"),
+    Pattern.of(PersonalStatus="male divorced"),
+    Pattern.of(ForeignWorker="No"),
+    Pattern.of(Dependents="0-2"),
+]
 
 
-def test_frontier_bitsets_on_off_bit_identical():
-    """Popcount pruning narrows stacks, but the row-major kernel extracts
-    every adjustment group C-contiguously, so surviving columns' bits do
-    not depend on how many dead columns were removed."""
-    table = build_toy_table(n=900, seed=11)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    on = _mine(FairCapConfig(bitset_masks=True), table, dag, protected)
-    off = _mine(FairCapConfig(bitset_masks=False), table, dag, protected)
-    _assert_same_mining(on, off, exact=True)
+def _german_step2(config):
+    from repro.datasets import load_german
 
-
-def test_frontier_matches_scalar_reference():
-    table = build_toy_table(n=900, seed=11)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    scalar = _mine(FairCapConfig(batch_estimation=False), table, dag, protected)
-    frontier = _mine(FairCapConfig(), table, dag, protected)
-    _assert_same_mining(frontier, scalar)
-
-
-def test_frontier_composition_independence():
-    """Chunking contexts into separate frontiers must not change any bit."""
-    table = build_toy_table(n=700, seed=17)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    config = FairCapConfig()
+    bundle = load_german(n=1_000, rng=3)
     evaluator = RuleEvaluator(
-        table,
-        "Income",
-        dag,
-        protected,
+        bundle.table,
+        bundle.schema.outcome_name,
+        bundle.dag,
+        bundle.protected,
+        estimator=config.make_estimator(),
         min_subgroup_size=config.min_subgroup_size,
         cache=config.make_cache(),
     )
-    items = intervention_items(table, table.schema, dag, config)
-    groupings = [
-        Pattern.of(City="Metro"),
-        Pattern.of(City="Rural"),
-        Pattern.of(Gender="Female"),
-        Pattern.of(Gender="Male"),
-    ]
-    together = frontier_mine_patterns(evaluator, groupings, items, config)
-    solo: list = []
-    for grouping in groupings:
-        fresh = RuleEvaluator(
-            table,
-            "Income",
-            dag,
-            protected,
-            min_subgroup_size=config.min_subgroup_size,
-            cache=config.make_cache(),
-        )
-        solo.extend(frontier_mine_patterns(fresh, [grouping], items, config))
-    for a, b in zip(together, solo):
+    items = intervention_items(bundle.table, bundle.schema, bundle.dag, config)
+    return evaluator, items
+
+
+def test_frontier_matches_scalar_reference():
+    """Multi-level searches: same lattice, same kept nodes, close CATEs."""
+    config = FairCapConfig(max_intervention_size=3)
+    scalar_config = FairCapConfig(max_intervention_size=3, batch_estimation=False)
+    evaluator, items = _german_step2(config)
+    scalar_evaluator, _ = _german_step2(scalar_config)
+    for grouping in GERMAN_GROUPINGS:
+        got = mine_grouping(evaluator, grouping, items, config)
+        want = mine_grouping(scalar_evaluator, grouping, items, scalar_config)
+        assert got.nodes_evaluated == want.nodes_evaluated > len(items)
+        assert [rule.intervention for rule in got.candidates] == [
+            rule.intervention for rule in want.candidates
+        ]
+        # Kept candidates carry all three CATEs on both paths.
+        for field in ("estimate", "estimate_protected", "estimate_non_protected"):
+            got_results = [getattr(rule, field) for rule in got.candidates]
+            want_results = [getattr(rule, field) for rule in want.candidates]
+            assert [r is None for r in got_results] == [
+                r is None for r in want_results
+            ], field
+            assert_results_close(
+                [r for r in got_results if r is not None],
+                [r for r in want_results if r is not None],
+            )
+        assert (got.best is None) == (want.best is None)
+        if got.best is not None:
+            assert got.best.intervention == want.best.intervention
+
+
+def test_frontier_composition_independence():
+    """Mining a pattern after others, with a shared cache, changes no bit."""
+    config = FairCapConfig()
+    shared, items = _german_step2(config)
+    together = [mine_grouping(shared, g, items, config) for g in GERMAN_GROUPINGS]
+    for grouping, a in zip(GERMAN_GROUPINGS, together):
+        fresh, _ = _german_step2(config)
+        b = mine_grouping(fresh, grouping, items, config)
         assert a.nodes_evaluated == b.nodes_evaluated
         assert len(a.candidates) == len(b.candidates)
         for x, y in zip(a.candidates, b.candidates):
+            assert x.intervention == y.intervention
             assert x.utility == y.utility
             assert x.utility_protected == y.utility_protected
             assert x.utility_non_protected == y.utility_non_protected
         assert (a.best is None) == (b.best is None)
 
 
-def test_frontier_window_invariance(monkeypatch):
-    """Processing contexts in small memory windows must not change any bit."""
-    import repro.core.intervention as intervention_mod
-
-    table = build_toy_table(n=700, seed=17)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    wide = _mine(FairCapConfig(), table, dag, protected)
-    monkeypatch.setattr(intervention_mod, "FRONTIER_WINDOW", 1)
-    narrow = _mine(FairCapConfig(), table, dag, protected)
-    _assert_same_mining(narrow, wide, exact=True)
-    assert narrow.ruleset.rules == wide.ruleset.rules
-
-
 def test_frontier_serial_equals_process():
-    table = build_toy_table(n=900, seed=11)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    serial = _mine(FairCapConfig(), table, dag, protected)
-    process = _mine(
-        FairCapConfig(executor="process", n_workers=2), table, dag, protected
-    )
-    _assert_same_mining(process, serial, exact=True)
-    assert process.ruleset.rules == serial.ruleset.rules
+    problem = _toy_problem()
+    serial = _mine(FairCapConfig(), *problem)
+    process = _mine(FairCapConfig(executor="process", n_workers=2), *problem)
+    _assert_same_mining(process, serial)
 
 
 def test_frontier_without_cache_matches_cached():
-    table = build_toy_table(n=800, seed=23)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    cached = _mine(FairCapConfig(), table, dag, protected)
-    uncached = _mine(FairCapConfig(cache_size=0), table, dag, protected)
-    _assert_same_mining(uncached, cached, exact=True)
+    problem = _toy_problem(n=800, seed=23)
+    cached = _mine(FairCapConfig(), *problem)
+    uncached = _mine(FairCapConfig(cache_size=0), *problem)
+    _assert_same_mining(uncached, cached)
 
 
-def test_stratified_estimator_ignores_frontier_flags():
-    table = build_toy_table(n=900, seed=11)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    config = FairCapConfig(estimator="stratified")
-    on = _mine(config, table, dag, protected)
-    off = _mine(
-        replace(config, frontier_batching=False, bitset_masks=False),
-        table,
-        dag,
-        protected,
-    )
-    assert on.ruleset.rules == off.ruleset.rules
+def test_stratified_estimator_ignores_frontier_flags(monkeypatch):
+    """The stratified estimator has no batched path: the level engine (and
+    its ``batch_estimation`` flag) must never be reached."""
+
+    def fail(self, interventions):
+        raise AssertionError("stratified mining entered the level engine")
+
+    monkeypatch.setattr(GroupEvaluationContext, "begin_level", fail)
+    result = _mine(FairCapConfig(estimator="stratified"), *_toy_problem())
+    assert result.nodes_evaluated > 0

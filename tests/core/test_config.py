@@ -27,18 +27,13 @@ def test_defaults_valid():
         {"lambda_size": -1.0},
         {"lambda_utility": -0.1},
         {"max_rules": 0},
-        {"throughput_mode": True, "batch_estimation": False},
-        {"throughput_mode": True, "frontier_batching": False},
+        {"cache_size": -1},
+        {"shard_rows": 0},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         FairCapConfig(**kwargs)
-
-
-def test_throughput_mode_requires_the_batched_frontier():
-    config = FairCapConfig(throughput_mode=True)  # defaults satisfy it
-    assert config.batch_estimation and config.frontier_batching
 
 
 def test_alpha_none_allowed():

@@ -139,3 +139,52 @@ def test_significance_filter(setup):
         FairCapConfig(significance_alpha=None),
     )
     assert len(strict.candidates) <= len(loose.candidates)
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+def test_one_live_context_per_worker(monkeypatch, executor):
+    """Step 2 mines each grouping pattern to completion before the next.
+
+    Every context pins its pattern's sub-tables, bitsets and level stacks,
+    so when a worker builds its next context, nothing it built earlier may
+    still be alive — the per-worker peak is one context, whatever the
+    pattern count.
+    """
+    import gc
+    import threading
+    import weakref
+
+    from repro.core.faircap import FairCap
+    from repro.datasets import load_german
+
+    bundle = load_german(n=800, rng=3)
+    n_workers = 2 if executor == "thread" else 1
+    config = FairCapConfig(
+        executor=executor, n_workers=n_workers, max_grouping_size=1
+    )
+    build_context = RuleEvaluator.context
+    lock = threading.Lock()
+    built: list[tuple[int, weakref.ref]] = []
+    violations: list[str] = []
+
+    def tracking(self, grouping):
+        # Assertions raised inside a pool worker would be retried by the
+        # resilience layer, so violations are collected and checked after.
+        with lock:
+            gc.collect()
+            me = threading.get_ident()
+            alive = [tid for tid, ref in built if ref() is not None]
+            if me in alive:
+                violations.append(f"{grouping}: this worker's last context lives")
+            if len(alive) >= n_workers:
+                violations.append(f"{grouping}: {len(alive)} contexts alive")
+            context = build_context(self, grouping)
+            built.append((me, weakref.ref(context)))
+            return context
+
+    monkeypatch.setattr(RuleEvaluator, "context", tracking)
+    result = FairCap(config).run(
+        bundle.table, bundle.schema, bundle.dag, bundle.protected
+    )
+    assert len(built) == len(result.grouping_patterns) >= 10
+    assert not violations, "\n".join(violations[:5])

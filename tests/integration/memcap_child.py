@@ -8,7 +8,7 @@ as::
     python memcap_child.py <mode> <n_rows> <shard_rows> <cap_bytes>
 
 ``cap_bytes`` of 0 runs uncapped (the probe runs that size the cap).
-Prints ``PEAK_KB=<VmPeak kB> RSS_KB=<ru_maxrss kB> OK`` on success; on
+Prints ``PEAK_KB=<VmPeak kB> RSS_KB=<VmHWM kB> OK`` on success; on
 ``MemoryError`` prints ``MEMORY_ERROR`` and exits 42.  The cap is applied
 *after* imports: the interpreter baseline (~280 MB of address space for
 numpy/scipy) is environment noise the test calibrates away — the cap is
@@ -31,10 +31,15 @@ WORLD = "linear-g3-d1-gap-lo"
 EXIT_MEMORY_ERROR = 42
 
 
-def vm_peak_kb() -> int:
+def proc_status_kb(field: str) -> int:
+    """A ``/proc/self/status`` high-water mark of this process, in kB.
+
+    ``VmHWM`` is this process's own peak RSS; ``ru_maxrss`` is not a
+    substitute, because a forked child inherits its parent's value.
+    """
     with open("/proc/self/status") as handle:
         for line in handle:
-            if line.startswith("VmPeak:"):
+            if line.startswith(field + ":"):
                 return int(line.split()[1])
     return -1
 
@@ -49,12 +54,10 @@ def main() -> int:
     if cap:
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     world = ScenarioWorld(spec_by_name(WORLD))
-    # One memory-lean config for BOTH paths, so the capped comparison is
-    # apples to apples: per-context mining (no frontier keeping every
-    # context alive) and no estimation cache (no retained factorizations).
-    config = dataclasses.replace(
-        oracle_config(world), frontier_batching=False, cache_size=0
-    )
+    # One config for BOTH paths, so the capped comparison is apples to
+    # apples: the default Step-2 engine without an estimation cache (no
+    # retained factorizations).
+    config = dataclasses.replace(oracle_config(world), cache_size=0)
     directory = tempfile.mkdtemp(prefix="memcap-shards-")
     try:
         if mode == "sharded":
@@ -67,9 +70,8 @@ def main() -> int:
         return EXIT_MEMORY_ERROR
     finally:
         shutil.rmtree(directory, ignore_errors=True)
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(
-        f"PEAK_KB={vm_peak_kb()} RSS_KB={rss_kb} "
+        f"PEAK_KB={proc_status_kb('VmPeak')} RSS_KB={proc_status_kb('VmHWM')} "
         f"RULES={result.metrics.n_rules} OK"
     )
     return 0

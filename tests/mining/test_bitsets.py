@@ -3,8 +3,9 @@
 The bitset layer (:mod:`repro.mining.bitsets`) is only allowed to change
 *latency*: packing must round-trip bit-for-bit, AND-composition must equal
 per-candidate predicate re-evaluation exactly, popcounts must equal boolean
-sums, and popcount-based support pruning must produce rules field-identical
-to letting the estimation screens reject the same candidates.
+sums, and popcount-based support pruning must produce rules whose overall
+estimate is field-identical to the scalar path's rejection of the same
+candidates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.mining.bitsets import (
 )
 from repro.mining.patterns import Pattern, Predicate
 from repro.rules.protected import ProtectedGroup
-from repro.rules.utility import RuleEvaluator
+from repro.rules.utility import GroupEvaluationContext, RuleEvaluator, keep_candidate
 from repro.scenarios.catalog import load_scenario
 
 
@@ -121,7 +122,7 @@ def test_memoised_bitsets_ride_on_the_table(rng):
     assert "_predicate_bitset_cache" not in sub.__dict__  # fresh object
 
 
-# -- popcount pruning ≡ post-estimation support filtering -----------------------
+# -- popcount pruning ≡ the scalar path's rejection -----------------------------
 
 
 def _context_with_items(table, protected, dag, config):
@@ -137,43 +138,38 @@ def _context_with_items(table, protected, dag, config):
     return evaluator, items
 
 
-def _assert_rules_identical(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.grouping == w.grouping and g.intervention == w.intervention
-        assert g.utility == w.utility
-        assert g.utility_protected == w.utility_protected
-        assert g.utility_non_protected == w.utility_non_protected
-        for field in ("estimate", "estimate_protected", "estimate_non_protected"):
-            ge, we = getattr(g, field), getattr(w, field)
-            assert (ge is None) == (we is None), field
-            if ge is not None:
-                assert ge.valid == we.valid and ge.reason == we.reason, field
-                assert (ge.n, ge.n_treated, ge.n_control) == (
-                    we.n,
-                    we.n_treated,
-                    we.n_control,
-                ), field
-                assert ge.adjustment == we.adjustment, field
+def _assert_overall_identical(got, want):
+    """Every field of two overall CateResults, NaN-aware and exact."""
+    assert got.valid == want.valid and got.reason == want.reason
+    assert (got.n, got.n_treated, got.n_control) == (
+        want.n,
+        want.n_treated,
+        want.n_control,
+    )
+    assert got.adjustment == want.adjustment
+    for field in ("estimate", "stderr", "p_value"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a == b or (np.isnan(a) and np.isnan(b)), field
 
 
-def _run_level(evaluator, grouping, candidates, config, use_bitsets):
-    """Drive one frontier level (begin -> estimate -> followup -> finish)."""
+def _batched_and_scalar(evaluator, grouping, candidates, config):
+    """One level through the batched engine and through the scalar path."""
     context = evaluator.context(grouping)
-    work = context.begin_level(candidates, use_bitsets=use_bitsets)
+    work = context.begin_level(candidates)
     evaluator.estimate_requests(work.requests)
     evaluator.estimate_requests(work.followup(config.significance_alpha))
-    return work.finish()
+    batched = work.finish()
+    scalar = [context.evaluate(candidate) for candidate in candidates]
+    return batched, scalar, work.pruned
 
 
 def test_pruning_equals_post_estimation_filtering(rng):
-    """Zero/full-support candidates: synthesized rules ≡ estimation screens.
+    """Zero/full-support candidates: synthesized rules ≡ scalar rejections.
 
-    The frontier path prunes by popcount *before* any estimation; the
-    bitset-off spelling lets the kernel's positivity screen reject the same
-    candidates after stacking them.  Keep flags and every rule field must
-    agree exactly (the fused kernel's row-major group extraction is
-    C-contiguous either way, so surviving columns are bit-identical too).
+    The batched engine prunes by popcount *before* any estimation; the
+    scalar path estimates the same candidates and lets the positivity
+    screen reject them.  Keep flags must agree everywhere, and a pruned
+    rule's overall estimate must equal the scalar one field for field.
     """
     table = build_toy_table(n=600, seed=7)
     protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
@@ -185,51 +181,81 @@ def test_pruning_equals_post_estimation_filtering(rng):
     candidates.append(Pattern.of(Training="no-such-value"))  # support 0
     full = Predicate("Training", "!=", "no-such-value")  # true on every row
     candidates.append(Pattern([full]))
-    grouping = Pattern.of(City="Metro")
-    with_bitsets = _run_level(evaluator, grouping, candidates, config, True)
-    without = _run_level(evaluator, grouping, candidates, config, False)
-    assert [keep for keep, _ in with_bitsets] == [keep for keep, _ in without]
-    _assert_rules_identical(
-        [rule for _, rule in with_bitsets], [rule for _, rule in without]
+    batched, scalar, pruned = _batched_and_scalar(
+        evaluator, Pattern.of(City="Metro"), candidates, config
     )
-    pruned_rules = [rule for _, rule in with_bitsets][-2:]
-    assert all(rule.utility == 0.0 for rule in pruned_rules)
-    assert all(not rule.estimate.valid for rule in pruned_rules)
-    assert all(
-        rule.estimate.reason.startswith("positivity") for rule in pruned_rules
-    )
+    assert sorted(pruned) == [len(candidates) - 2, len(candidates) - 1]
+    alpha = config.significance_alpha
+    assert [keep for keep, _ in batched] == [
+        keep_candidate(rule.estimate, alpha) for rule in scalar
+    ]
+    for j in pruned:
+        rule = batched[j][1]
+        assert rule.utility == 0.0
+        assert rule.estimate.reason.startswith("positivity")
+        assert rule.coverage_count == scalar[j].coverage_count
+        _assert_overall_identical(rule.estimate, scalar[j].estimate)
 
 
 def test_pruning_respects_min_subgroup_guard(rng):
-    """Pruned columns inside a too-small subgroup mirror the guard's reason."""
+    """Pruned candidates inside a too-small subgroup mirror the guard's reason."""
     table = build_toy_table(n=400, seed=9)
     protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
     dag = build_toy_dag()
     config = FairCapConfig(min_subgroup_size=1_000)  # everything is too small
     evaluator, items = _context_with_items(table, protected, dag, config)
     candidates = [items[0], Pattern.of(Training="no-such-value")]
-    grouping = Pattern.of(City="Metro")
-    with_bitsets = _run_level(evaluator, grouping, candidates, config, True)
-    without = _run_level(evaluator, grouping, candidates, config, False)
-    _assert_rules_identical(
-        [rule for _, rule in with_bitsets], [rule for _, rule in without]
+    batched, scalar, pruned = _batched_and_scalar(
+        evaluator, Pattern.of(City="Metro"), candidates, config
     )
-    assert with_bitsets[1][1].estimate.reason.startswith("subgroup smaller")
+    assert list(pruned) == [1]
+    for (keep, rule), want in zip(batched, scalar):
+        assert not keep
+        _assert_overall_identical(rule.estimate, want.estimate)
+    assert batched[1][1].estimate.reason.startswith("subgroup smaller")
 
 
-def test_mine_intervention_bitsets_bit_identical(rng):
-    """Full Step-2 search: bitset masks on ≡ off, rule for rule."""
-    table = build_toy_table(n=800, seed=13)
-    protected = ProtectedGroup(Pattern.of(Gender="Female"), name="women")
-    dag = build_toy_dag()
-    base_config = FairCapConfig(frontier_batching=False, bitset_masks=False)
-    bitset_config = FairCapConfig(frontier_batching=False, bitset_masks=True)
-    evaluator, items = _context_with_items(table, protected, dag, base_config)
-    for grouping in (Pattern.of(City="Metro"), Pattern.of(City="Rural")):
-        want = mine_intervention(evaluator.context(grouping), items, base_config)
-        got = mine_intervention(evaluator.context(grouping), items, bitset_config)
-        assert got.nodes_evaluated == want.nodes_evaluated
-        _assert_rules_identical(list(got.candidates), list(want.candidates))
-        assert (got.best is None) == (want.best is None)
-        if got.best is not None:
-            assert got.best.utility == want.best.utility
+def test_mine_intervention_bitsets_bit_identical(monkeypatch):
+    """Full Step-2 searches: every treated stack the engine composes from
+    bitsets equals predicate re-evaluation bit for bit, and every pruned
+    candidate really has zero or full support."""
+    from repro.datasets import load_german
+
+    bundle = load_german(n=1_000, rng=3)
+    config = FairCapConfig()
+    evaluator = RuleEvaluator(
+        bundle.table,
+        bundle.schema.outcome_name,
+        bundle.dag,
+        bundle.protected,
+        min_subgroup_size=config.min_subgroup_size,
+        cache=config.make_cache(),
+    )
+    items = intervention_items(bundle.table, bundle.schema, bundle.dag, config)
+    begin_level = GroupEvaluationContext.begin_level
+    levels = []
+
+    def recording(self, interventions):
+        work = begin_level(self, interventions)
+        levels.append((self, work))
+        return work
+
+    monkeypatch.setattr(GroupEvaluationContext, "begin_level", recording)
+    for grouping in (
+        Pattern.of(PersonalStatus="male single"),
+        Pattern.of(ForeignWorker="No"),
+    ):
+        mine_intervention(evaluator.context(grouping), items, config)
+    assert {len(work.interventions[0].attributes) for _, work in levels} == {1, 2}
+    for context, work in levels:
+        n = context.subtable.n_rows
+        survivors = [
+            intervention
+            for j, intervention in enumerate(work.interventions)
+            if j not in work.pruned
+        ]
+        if survivors:
+            want = np.stack([p.mask(context.subtable) for p in survivors])
+            assert np.array_equal(work._treated_rows, want)
+        for j in work.pruned:
+            assert int(work.interventions[j].mask(context.subtable).sum()) in (0, n)

@@ -120,10 +120,11 @@ def test_run_report_meta_and_spans(german_runs):
     assert meta["n_rules"] == len(result.ruleset)
     assert meta["nodes_evaluated"] == result.nodes_evaluated
     assert set(meta["timings"]) == set(result.timings)
-    names = {span["name"] for span in iter_spans(report["spans"])}
+    names = [span["name"] for span in iter_spans(report["spans"])]
     assert "faircap.run" in names
-    assert "frontier.round" in names
     assert "estimation.level" in names
+    # Step 2 mines one grouping pattern to completion per span.
+    assert names.count("mining.context") == meta["n_grouping_patterns"]
 
 
 @pytest.mark.slow
@@ -133,7 +134,7 @@ def test_process_spans_graft_into_the_run_tree(german_runs):
     assert roots == ["faircap.run"]
     names = {span["name"] for span in iter_spans(report["spans"])}
     assert "parallel.map" in names
-    assert "frontier.round" in names  # worker trees grafted, not dropped
+    assert "mining.context" in names  # worker trees grafted, not dropped
 
 
 # -- oracle-grid worlds --------------------------------------------------------

@@ -242,7 +242,7 @@ def test_factorization_store_is_bounded_lru(rng):
     cache = EstimationCache(max_entries=2)  # -> max_factorizations == 2
     assert cache.max_factorizations == 2
     for adjustment in ((), ("Group",), ("Group", "Outcome")):
-        cache.get_or_factorize(table, "Outcome", adjustment)
+        cache.get_or_factorize_rows(table, "Outcome", adjustment)
     assert len(cache._factorizations) == 2
     # The most recent two survive.
     keys = list(cache._factorizations)

@@ -1,13 +1,13 @@
-"""Throughput mode against the scenario oracle (its certification gate).
+"""Parallel mining throughput against the scenario oracle.
 
-``FairCapConfig.throughput_mode`` merges estimation GEMMs across grouping
-contexts and skips the result cache, which deliberately trades the
-serial ≡ process bit-identity contract for speed.  Its correctness gate is
-therefore *not* the differential suite but this module: on every grid
-world the merged engine must sit inside the same analytic CATE bands,
-satisfy the same fairness/coverage constraints, recover the planted
-ruleset at the recovery tier, and track the default engine at a tight
-relative tolerance.
+Step 2 gains throughput only from parallelism across grouping patterns
+(the paper's optimisation (ii)): each worker mines its patterns one at a
+time, to completion, through the same per-pattern function as the serial
+loop.  This module certifies that configuration on every grid world with a
+two-worker thread pool sharing one estimation cache: the run must sit
+inside the same analytic CATE bands, satisfy the same fairness/coverage
+constraints, recover the planted ruleset at the recovery tier, and track
+the serial default engine bit for bit.
 """
 
 from __future__ import annotations
@@ -26,21 +26,21 @@ from tests.scenarios.conftest import BASE_N, SPECS, ScenarioRun
 
 pytestmark = pytest.mark.scenario
 
-#: Merged GEMMs re-associate float reductions, so throughput mode tracks
-#: the default engine at a relative tolerance instead of bit-identity.
-THROUGHPUT_RTOL = 1e-6
+#: Per-pattern results are pure functions of the pattern's own content, so
+#: the thread pool must reproduce the serial engine exactly.
+THROUGHPUT_RTOL = 0.0
 
 
 def _build_throughput_run(name: str, n: int) -> ScenarioRun:
     world = ScenarioWorld(SPECS[name])
     bundle = world.bundle(n)
-    config = oracle_config(world, throughput_mode=True)
+    config = oracle_config(world, executor="thread", n_workers=2)
     return ScenarioRun(world, bundle, run_world(world, bundle, config))
 
 
 @pytest.fixture(scope="module", params=sorted(SPECS), ids=lambda n: n)
 def throughput_run(request) -> ScenarioRun:
-    """One throughput-mode FairCap run per grid world (base tier)."""
+    """One thread-pool FairCap run per grid world (base tier)."""
     return _build_throughput_run(request.param, BASE_N)
 
 
@@ -61,7 +61,7 @@ def test_tracks_default_engine_at_rtol(throughput_run):
         reference,
         throughput_run.result,
         THROUGHPUT_RTOL,
-        "throughput-vs-default",
+        "thread-vs-serial",
     )
     assert not problems, "\n".join(problems)
 
