@@ -65,13 +65,13 @@ def main() -> None:
         for key, value in bundle.table.head(1).to_rows()[0].items()
     }
     request = urllib.request.Request(
-        f"http://127.0.0.1:{server.port}/prescribe",
+        f"http://127.0.0.1:{server.port}/v1/prescribe",
         data=json.dumps({"individual": individual}).encode("utf-8"),
         headers={"Content-Type": "application/json"},
     )
     with urllib.request.urlopen(request) as response:
         payload = json.loads(response.read())
-    print(f"HTTP /prescribe -> {json.dumps(payload['prescription'])[:120]}...")
+    print(f"HTTP /v1/prescribe -> {json.dumps(payload['prescription'])[:120]}...")
     server.shutdown()
     server.server_close()
 

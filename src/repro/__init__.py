@@ -40,104 +40,69 @@ Quickstart — deploy it (:mod:`repro.serve`)::
     print(prescription.intervention, prescription.expected_utility)
 
     # Or over HTTP (also: python -m repro serve --artifact ruleset.json):
-    # POST /prescribe {"individual": {...}} -> {"prescription": {...}}
+    # POST /v1/prescribe {"individual": {...}} -> {"prescription": {...}}
+
+The names in ``__all__`` resolve on first access (PEP 562): ``import repro``
+loads nothing else, and ``repro serve`` never pays for the estimation stack.
 """
 
-from repro.tabular import (
-    AttributeKind,
-    AttributeRole,
-    AttributeSpec,
-    Schema,
-    Table,
-    read_csv,
-    write_csv,
-)
-from repro.mining import Operator, Pattern, Predicate, apriori
-from repro.causal import (
-    CateResult,
-    CausalDAG,
-    LinearAdjustmentEstimator,
-    SCMNode,
-    StratifiedEstimator,
-    StructuralCausalModel,
-    backdoor_adjustment_set,
-    estimate_cate,
-    pc_dag,
-)
-from repro.rules import (
-    PrescriptionRule,
-    ProtectedGroup,
-    RuleSet,
-    RulesetEvaluator,
-    RulesetMetrics,
-    RuleTemplates,
-    describe_rule,
-)
-from repro.fairness import (
-    CoverageConstraint,
-    FairnessConstraint,
-    bounded_group_loss,
-    group_coverage,
-    rule_coverage,
-    select_variant,
-    statistical_parity,
-)
-from repro.core import (
-    FairCap,
-    FairCapConfig,
-    FairCapResult,
-    ProblemVariant,
-    all_variants,
-    brute_force_select,
-    canonical_variants,
-    run_faircap,
-    unconstrained,
-)
-from repro.baselines import run_causumx, run_frl, run_ids
-from repro.datasets import load_dataset, load_german, load_stackoverflow
-from repro.scenarios import (
-    ScenarioSpec,
-    ScenarioWorld,
-    load_scenario,
-    oracle_grid,
-)
-from repro.serve import (
-    CompiledRuleIndex,
-    Prescription,
-    PrescriptionEngine,
-    ServingArtifact,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # tabular
-    "Table", "Schema", "AttributeSpec", "AttributeKind", "AttributeRole",
-    "read_csv", "write_csv",
-    # patterns & mining
-    "Pattern", "Predicate", "Operator", "apriori",
-    # causal
-    "CausalDAG", "CateResult", "LinearAdjustmentEstimator",
-    "StratifiedEstimator", "estimate_cate", "backdoor_adjustment_set",
-    "pc_dag", "StructuralCausalModel", "SCMNode",
-    # rules
-    "PrescriptionRule", "RuleSet", "RulesetEvaluator", "RulesetMetrics",
-    "ProtectedGroup", "RuleTemplates", "describe_rule",
-    # fairness
-    "FairnessConstraint", "CoverageConstraint", "statistical_parity",
-    "bounded_group_loss", "group_coverage", "rule_coverage", "select_variant",
-    # core
-    "FairCap", "FairCapConfig", "FairCapResult", "ProblemVariant",
-    "canonical_variants", "all_variants", "unconstrained", "run_faircap",
-    "brute_force_select",
-    # baselines
-    "run_causumx", "run_ids", "run_frl",
-    # datasets
-    "load_stackoverflow", "load_german", "load_dataset",
-    # scenarios (ground-truth oracle worlds)
-    "ScenarioSpec", "ScenarioWorld", "oracle_grid", "load_scenario",
-    # serving
-    "ServingArtifact", "CompiledRuleIndex", "PrescriptionEngine",
-    "Prescription",
-    "__version__",
-]
+#: Public export -> the subpackage it is re-exported from.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("repro.tabular", (
+            "Table", "Schema", "AttributeSpec", "AttributeKind", "AttributeRole",
+            "read_csv", "write_csv",
+        )),
+        ("repro.mining", ("Pattern", "Predicate", "Operator", "apriori")),
+        ("repro.causal", (
+            "CausalDAG", "CateResult", "LinearAdjustmentEstimator",
+            "StratifiedEstimator", "estimate_cate", "backdoor_adjustment_set",
+            "pc_dag", "StructuralCausalModel", "SCMNode",
+        )),
+        ("repro.rules", (
+            "PrescriptionRule", "RuleSet", "RulesetEvaluator", "RulesetMetrics",
+            "ProtectedGroup", "RuleTemplates", "describe_rule",
+        )),
+        ("repro.fairness", (
+            "FairnessConstraint", "CoverageConstraint", "statistical_parity",
+            "bounded_group_loss", "group_coverage", "rule_coverage",
+            "select_variant",
+        )),
+        ("repro.core", (
+            "FairCap", "FairCapConfig", "FairCapResult", "ProblemVariant",
+            "canonical_variants", "all_variants", "unconstrained", "run_faircap",
+            "brute_force_select",
+        )),
+        ("repro.baselines", ("run_causumx", "run_ids", "run_frl")),
+        ("repro.datasets", ("load_stackoverflow", "load_german", "load_dataset")),
+        # ground-truth oracle worlds
+        ("repro.scenarios", (
+            "ScenarioSpec", "ScenarioWorld", "oracle_grid", "load_scenario",
+        )),
+        ("repro.serve", (
+            "ServingArtifact", "CompiledRuleIndex", "PrescriptionEngine",
+            "Prescription",
+        )),
+    )
+    for name in names
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -19,7 +19,8 @@ and the serving subsystem::
     python -m repro --version
 
 Dataset sizes default to the laptop-scale experiment settings; ``--n``
-overrides both datasets, ``--seed`` the generator seed.
+overrides both datasets, ``--seed`` the generator seed.  Each command
+imports what it runs, so ``serve`` starts without the estimation stack.
 """
 
 from __future__ import annotations
@@ -27,29 +28,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments import (
-    ExperimentSettings,
-    format_apriori_sweep,
-    format_figure3,
-    format_figure4,
-    format_figure5,
-    format_table3,
-    format_table4,
-    format_table5,
-    format_table6,
-    run_apriori_sweep,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_table3,
-    run_table4,
-    run_table5,
-    run_table6,
-)
-from repro.experiments.casestudy import render_case_study
 
+def _settings(args: argparse.Namespace):
+    """``ExperimentSettings`` = environment defaults <- CLI flags."""
+    from repro.experiments import ExperimentSettings
 
-def _settings(args: argparse.Namespace) -> ExperimentSettings:
     base = ExperimentSettings.from_environment()
     so_n = args.n if args.n is not None else base.so_n
     german_n = args.n if args.n is not None else base.german_n
@@ -67,34 +50,50 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
 
 
 def _cmd_table3(args: argparse.Namespace) -> str:
+    from repro.experiments import format_table3, run_table3
+
     return format_table3(run_table3(rng=args.seed if args.seed else 7))
 
 
 def _cmd_table4(args: argparse.Namespace) -> str:
+    from repro.experiments import format_table4, run_table4
+
     return format_table4(run_table4(args.dataset, settings=_settings(args)))
 
 
 def _cmd_table5(args: argparse.Namespace) -> str:
+    from repro.experiments import format_table5, run_table5
+
     return format_table5(run_table5(args.dataset, settings=_settings(args)))
 
 
 def _cmd_table6(args: argparse.Namespace) -> str:
+    from repro.experiments import format_table6, run_table6
+
     return format_table6(run_table6(args.dataset, settings=_settings(args)))
 
 
 def _cmd_figure3(args: argparse.Namespace) -> str:
+    from repro.experiments import format_figure3, run_figure3
+
     return format_figure3(run_figure3(args.dataset, settings=_settings(args)))
 
 
 def _cmd_figure4(args: argparse.Namespace) -> str:
+    from repro.experiments import format_figure4, run_figure4
+
     return format_figure4(run_figure4(args.dataset, settings=_settings(args)))
 
 
 def _cmd_figure5(args: argparse.Namespace) -> str:
+    from repro.experiments import format_figure5, run_figure5
+
     return format_figure5(run_figure5(args.dataset, settings=_settings(args)))
 
 
 def _cmd_apriori_sweep(args: argparse.Namespace) -> str:
+    from repro.experiments import format_apriori_sweep, run_apriori_sweep
+
     return format_apriori_sweep(
         run_apriori_sweep(args.dataset, settings=_settings(args))
     )
@@ -134,6 +133,8 @@ def _run_variant(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
+    from repro.experiments.casestudy import render_case_study
+
     settings, bundle, result = _run_variant(args)
     trace_lines = []
     if getattr(args, "trace_json", None):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.causal.linalg import ols, one_hot
 from repro.tabular.column import CategoricalColumn, NumericColumn
@@ -228,7 +228,7 @@ class LinearAdjustmentEstimator:
                 adjustment=adjustment,
             )
         t_stat = estimate / stderr
-        p_value = float(2.0 * stats.t.sf(abs(t_stat), df=fit.dof))
+        p_value = float(2.0 * special.stdtr(fit.dof, -abs(t_stat)))
         return CateResult(
             estimate=estimate,
             stderr=stderr,
@@ -395,7 +395,7 @@ class StratifiedEstimator:
         stderr = float(np.sqrt(variance)) if variance > 0 else float("nan")
         if np.isfinite(stderr) and stderr > 0:
             z_stat = estimate / stderr
-            p_value = float(2.0 * stats.norm.sf(abs(z_stat)))
+            p_value = float(2.0 * special.ndtr(-abs(z_stat)))
         else:
             p_value = float("nan")
         return CateResult(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.tabular.column import CategoricalColumn, NumericColumn
 from repro.tabular.table import Table
@@ -58,7 +58,7 @@ def fisher_z_test(
     partial = float(np.clip(partial, -0.999999, 0.999999))
     z_value = 0.5 * math.log((1 + partial) / (1 - partial))
     statistic = math.sqrt(n - len(zs) - 3) * abs(z_value)
-    return float(2.0 * stats.norm.sf(statistic))
+    return float(2.0 * special.ndtr(-statistic))
 
 
 def g_square_test(
@@ -117,7 +117,7 @@ def g_square_test(
         dof += max(nonzero_rows - 1, 0) * max(nonzero_cols - 1, 0)
     if dof <= 0:
         return 1.0
-    return float(stats.chi2.sf(max(g_stat, 0.0), df=dof))
+    return float(special.chdtrc(dof, max(g_stat, 0.0)))
 
 
 class CITester:

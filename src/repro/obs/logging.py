@@ -4,7 +4,7 @@ One :class:`StructuredLogger` per server: every event is a single JSON
 object on one line (machine-parseable, greppable), carrying the event name,
 a wall-clock timestamp, and whatever fields the call site supplies — for
 HTTP access logs that includes the ``request_id`` echoed in the response,
-which is the correlation handle between a log line and the ``/prescribe``
+which is the correlation handle between a log line and the ``/v1/prescribe``
 payload a client saw.
 
 The logger honours the server's ``quiet`` flag through ``enabled`` (a

@@ -1,9 +1,12 @@
-"""Prescription rules and rulesets (S9, S21; Defs. 4.3-4.5 of the paper)."""
+"""Prescription rules and rulesets (S9, S21; Defs. 4.3-4.5 of the paper).
+
+:class:`RuleEvaluator` resolves on first access (PEP 562): it needs the
+estimation stack, which the serving tier never imports.
+"""
 
 from repro.rules.protected import ProtectedGroup
 from repro.rules.rule import PrescriptionRule
 from repro.rules.ruleset import RuleSet, RulesetEvaluator, RulesetMetrics
-from repro.rules.utility import RuleEvaluator
 from repro.rules.templates import RuleTemplates, describe_pattern, describe_rule
 
 __all__ = [
@@ -17,3 +20,16 @@ __all__ = [
     "describe_pattern",
     "describe_rule",
 ]
+
+
+def __getattr__(name: str):
+    if name == "RuleEvaluator":
+        from repro.rules.utility import RuleEvaluator
+
+        globals()[name] = RuleEvaluator
+        return RuleEvaluator
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "RuleEvaluator"})

@@ -15,10 +15,13 @@ Rules are immutable value objects; the estimation work happens in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.causal.estimators import CateResult
 from repro.mining.patterns import Pattern
 from repro.utils.errors import PatternError
+
+if TYPE_CHECKING:  # pragma: no cover - keeps serving off the estimators
+    from repro.causal.estimators import CateResult
 
 
 @dataclass(frozen=True)

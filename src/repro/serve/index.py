@@ -19,7 +19,7 @@ per rule.  The index compiles the ruleset once into per-attribute
 The batch path (:meth:`CompiledRuleIndex.match_table`) evaluates each
 distinct predicate once as a vectorized column mask and accumulates the same
 counts over all rows at once — the bulk-scoring workhorse behind
-``POST /prescribe`` with many individuals.
+``POST /v1/prescribe`` with many individuals.
 
 :func:`naive_match_row` / :func:`naive_match_table` are the reference
 implementations the tests and benchmark compare against.

@@ -1,4 +1,4 @@
-"""Shared generators for the serving-subsystem tests.
+"""Shared generators and helpers for the serving-subsystem tests.
 
 Randomized rulesets deliberately reuse a small grid of attribute values and
 numeric thresholds so that (a) predicates collide across rules, exercising
@@ -8,6 +8,8 @@ lists.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +87,21 @@ def random_row(rng: np.random.Generator) -> dict[str, object]:
         row[attribute] = base if rng.random() < 0.5 else base + float(rng.random())
     row["Gender"] = ("F", "M")[rng.integers(2)]
     return row
+
+
+def wait_until(predicate, timeout: float = 2.0):
+    """Poll for a post-response observation.
+
+    A client sees the response body before the handler thread's ``finally``
+    block records the request's metrics and access-log line, so assertions
+    on those must allow the handler a moment to finish.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        value = predicate()
+        if value or time.monotonic() > deadline:
+            return value
+        time.sleep(0.01)
 
 
 def random_table(rng: np.random.Generator, n_rows: int) -> Table:

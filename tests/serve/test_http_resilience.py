@@ -22,6 +22,7 @@ import pytest
 from repro.serve.engine import PrescriptionEngine
 from repro.serve.http import make_server
 from repro.utils.errors import ServeError
+from tests.serve.conftest import wait_until
 
 US_ROW = {"Country": "US", "Age": 35.0, "Gender": "M"}
 
@@ -165,7 +166,9 @@ def test_request_deadline_header_maps_to_504(live_server):
     assert "deadline" in body["error"]["message"]
     assert _counter_total(server, "http.deadline_exceeded") == 1.0
     # A 504 is not a success and not a 500: recorded under its own status.
-    # The alias request is folded under its canonical /v1 label.
+    # The alias request is folded under its canonical /v1 label.  The
+    # handler counts the request after writing the response, so poll.
+    assert wait_until(lambda: _counter_total(server, "http.requests"))
     requests = server.metrics.snapshot()["counters"]["http.requests"]["values"]
     assert requests == {"method=POST,path=/v1/prescribe,status=504": 1.0}
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.serve.engine import PrescriptionEngine
 from repro.serve.http import make_server
+from tests.serve.conftest import wait_until
 
 
 @pytest.fixture()
@@ -42,21 +43,6 @@ def _log_events(stream: io.StringIO, event: str) -> list[dict]:
     return [r for r in records if r["event"] == event]
 
 
-def _wait_until(predicate, timeout: float = 2.0):
-    """Poll for a post-response observation.
-
-    A client sees the response body before the handler thread's ``finally``
-    block records the request's metrics and access-log line, so assertions
-    on those must allow the handler a moment to finish.
-    """
-    deadline = time.monotonic() + timeout
-    while True:
-        value = predicate()
-        if value or time.monotonic() > deadline:
-            return value
-        time.sleep(0.01)
-
-
 def test_metrics_exposition_after_traffic(observed_server):
     base, _ = observed_server
     _get(base + "/health")
@@ -71,7 +57,7 @@ def test_metrics_exposition_after_traffic(observed_server):
         text = body.decode("utf-8")
         return text if want in text else ""
 
-    text = _wait_until(scrape)
+    text = wait_until(scrape)
     assert "# TYPE http_requests_total counter" in text
     assert want in text
     assert 'http_request_seconds_bucket{method="GET",path="/v1/health",le="+Inf"} 2' in text
@@ -89,7 +75,7 @@ def test_unknown_paths_fold_into_other_label(observed_server):
         except urllib.error.HTTPError:
             pass
     want = 'http_requests_total{method="GET",path="other",status="404"} 3'
-    text = _wait_until(
+    text = wait_until(
         lambda: next(
             (t for t in [_get(base + "/metrics")[1].decode("utf-8")] if want in t),
             "",
@@ -115,7 +101,7 @@ def test_access_log_lines_correlate_with_responses(observed_server):
     base, stream = observed_server
     response, _ = _get(base + "/health", headers={"X-Request-Id": "corr-1"})
     assert response.status == 200
-    events = _wait_until(lambda: _log_events(stream, "http.request"))
+    events = wait_until(lambda: _log_events(stream, "http.request"))
     assert len(events) == 1
     record = events[0]
     assert record["component"] == "serve"
@@ -154,7 +140,7 @@ def test_prescribe_latency_lands_in_the_histogram(observed_server):
         payload = json.loads(response.read())
     assert "request_id" in payload
     want = ('http_requests_total{method="POST",path="/v1/prescribe",status="200"} 1')
-    text = _wait_until(
+    text = wait_until(
         lambda: next(
             (t for t in [_get(base + "/metrics")[1].decode("utf-8")] if want in t),
             "",
@@ -162,5 +148,5 @@ def test_prescribe_latency_lands_in_the_histogram(observed_server):
     )
     assert want in text
     assert 'http_request_seconds_count{method="POST",path="/v1/prescribe"} 1' in text
-    events = _wait_until(lambda: _log_events(stream, "http.request"))
+    events = wait_until(lambda: _log_events(stream, "http.request"))
     assert any(r["path"] == "/prescribe" and r["status"] == 200 for r in events)
