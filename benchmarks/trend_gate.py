@@ -61,9 +61,10 @@ def main(argv: list[str] | None = None) -> int:
                              "than this fraction (default 0.20)")
     parser.add_argument("--rate-threshold", type=float, default=0.05,
                         help="soft-warn when a telemetry-derived engine rate "
-                             "(cache hit rate, prune rate) drops by more than "
-                             "this absolute amount vs the committed baseline "
-                             "(default 0.05)")
+                             "moves the wrong way (cache hit rate or prune "
+                             "rate drops, scalar-fallback rate rises) by more "
+                             "than this absolute amount vs the committed "
+                             "baseline (default 0.05)")
     args = parser.parse_args(argv)
 
     lines = [
@@ -255,10 +256,11 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     # -- engine-rate trend (telemetry run report) ------------------------------
-    # Unlike wall-clock, these rates are machine-independent: a drop means
-    # the engine is genuinely doing more work per answer (cache churn, lost
-    # pruning), not that the runner is slow.  Still soft — rates move
-    # legitimately when the mining configuration changes.
+    # Unlike wall-clock, these rates are machine-independent: a move the
+    # wrong way means the engine is genuinely doing more work per answer
+    # (cache churn, lost pruning, columns leaving the batched FWL kernel for
+    # the scalar OLS fallback), not that the runner is slow.  Still soft —
+    # rates move legitimately when the mining configuration changes.
     baseline_derived = _load(BENCH_DIR / "BENCH_estimation.json").get(
         "run_report_baseline", {}
     ).get("derived", {})
@@ -274,26 +276,29 @@ def main(argv: list[str] | None = None) -> int:
         lines.append("")
         lines.append("| rate | baseline | current | status |")
         lines.append("|---|---|---|---|")
-        for rate in ("cache_hit_rate", "prune_rate"):
+        for rate, higher_is_better in (
+            ("cache_hit_rate", True),
+            ("prune_rate", True),
+            ("scalar_fallback_rate", False),
+        ):
             base_value = baseline_derived.get(rate)
             cur_value = current_derived.get(rate)
             if base_value is None or cur_value is None:
                 lines.append(f"| {rate} | — | — | not recorded |")
                 continue
-            dropped = base_value - cur_value > args.rate_threshold
-            status = (
-                f":warning: dropped {base_value - cur_value:.3f}"
-                if dropped
-                else "ok"
-            )
+            worse = (base_value - cur_value) * (1 if higher_is_better else -1)
+            regressed = worse > args.rate_threshold
+            moved = "dropped" if higher_is_better else "rose"
+            status = f":warning: {moved} {worse:.3f}" if regressed else "ok"
             lines.append(
                 f"| {rate} | {base_value:.3f} | {cur_value:.3f} | {status} |"
             )
-            if dropped:
+            if regressed:
+                side = "below" if higher_is_better else "above"
                 warnings.append(
                     f"::warning::bench-trend: {rate} {cur_value:.3f} is "
-                    f"{base_value - cur_value:.3f} below the committed "
-                    f"baseline {base_value:.3f} (soft gate, threshold "
+                    f"{worse:.3f} {side} the committed baseline "
+                    f"{base_value:.3f} (soft gate, threshold "
                     f"{args.rate_threshold:.2f} absolute)"
                 )
 

@@ -37,9 +37,18 @@ t-test p-values vectorised.
 Exactness contract
 ------------------
 Results agree with the scalar path to floating-point working precision
-(differentially tested at rtol 1e-9).  Candidates the FWL identities do not
-cover bit-identically fall back to the scalar ``ols()`` path per column:
+(differentially tested at rtol 1e-9).  Rank deficiency that the table's
+exact counts reveal stays on the FWL path: an absent one-hot category
+leaves a zero column, and a categorical block with no row at its dropped
+reference level sums to the intercept.  The Gram build drops those columns
+(one per such block), which leaves ``col(W)`` — hence every FWL quantity
+and the rank behind the dof ``n - rank - 1`` — unchanged.  Candidates the
+FWL identities do not cover bit-identically fall back to the scalar
+``ols()`` path per column:
 
+- a ``W`` the QR build certifies degenerate: collinear beyond those
+  structural cases (e.g. a duplicated attribute), or wider than its table
+  after them;
 - ``t`` numerically inside ``col(W)`` (the full design is rank deficient);
 - an ill-conditioned ``W`` whose numerical rank is ambiguous under the
   ``lstsq`` cutoff rule;
@@ -74,6 +83,7 @@ from repro.causal.estimators import (
 from repro.causal.linalg import one_hot
 from repro.obs.runtime import current as obs_current
 from repro.tabular.column import CategoricalColumn
+from repro.tabular.schema import AttributeKind
 from repro.tabular.table import Table
 from repro.utils.errors import EstimationError
 
@@ -367,8 +377,8 @@ class GramFactorization:
     bit-exact scalar fallback, stay byte-for-byte the QR path's.
     """
 
-    w: np.ndarray  # (n, k) design block (zero columns dropped on slow path)
-    gram_inv: np.ndarray  # (k, k) inverse of WᵀW
+    w: np.ndarray  # (n, rank) basis columns of the design block
+    gram_inv: np.ndarray  # (rank, rank) inverse of WᵀW
     rank: int
     y_res: np.ndarray
     y_res_sq: float
@@ -529,78 +539,93 @@ def _outcome_products(
     return wy
 
 
+def _spanning_columns(
+    gram: np.ndarray, widths: list[int], categorical: list[bool]
+) -> np.ndarray:
+    """Indices of the design columns that form a basis of ``col(W)``.
+
+    Decided on the exact integer counts the assembled Gram already holds
+    (one-hot column sums are row 0, one-hot diagonals are counts), so no
+    rounding enters the choice.  Two structural deficiencies deflate:
+
+    - an exactly-zero column (a one-hot category absent from the table)
+      has a zero diagonal entry and spans nothing;
+    - a categorical block whose column counts sum to the row count has no
+      row at its dropped reference level, so its present columns sum to
+      the intercept; dropping the block's first present column leaves
+      ``col(W)`` unchanged.
+
+    Anything else (e.g. two attributes that coincide on this table) is
+    left for the Cholesky and condition gate to reject.
+    """
+    present = gram.diagonal() > 0.0  # the intercept's entry is n > 0
+    offset = 1
+    for width, is_categorical in zip(widths, categorical):
+        block = slice(offset, offset + width)
+        if is_categorical and gram[0, block].sum() == gram[0, 0]:
+            present[offset + int(np.argmax(present[block]))] = False
+        offset += width
+    return np.flatnonzero(present)
+
+
 def build_rows_factorization(
     table: Table, outcome: str, adjustment: tuple[str, ...] = ()
 ):
     """Factorize ``[1, Z-block]`` for the fused row-major kernel.
 
-    Fast path: block-structured Gram/Cholesky (:class:`GramFactorization`)
-    from per-table memoised pair products, no ``W`` materialisation.
-    Exactly-zero columns (absent one-hot categories) take a materialised
-    slow path that drops them off the Gram diagonal; any design the
-    condition gate rejects falls back to the QR build, whose
-    :class:`DesignFactorization` the kernel consumes interchangeably.
+    Block-structured Gram/Cholesky (:class:`GramFactorization`) from
+    per-table memoised pair products, no syrk over ``W``.  Before the
+    width test and the Cholesky, :func:`_spanning_columns` picks a basis of
+    ``col(W)`` from the Gram's exact counts: exactly-zero columns (absent
+    one-hot categories) and, per categorical block whose reference level
+    is absent, the block's first present column are dropped by
+    subselecting the Gram (route ``gram_reduced``).  The basis spans the
+    same ``col(W)``, so the FWL residuals, and the rank behind the dof
+    ``n - rank - 1``, are the scalar path's.  Any design still wider than
+    its table, or rejected by the Cholesky or the condition gate, falls
+    back to the QR build, whose :class:`DesignFactorization` the kernel
+    consumes interchangeably.
     """
     n = table.n_rows
     if n == 0:
         raise EstimationError("cannot factorize an empty design")
+    categorical = [
+        table.schema.spec(name).kind is AttributeKind.CATEGORICAL
+        for name in adjustment
+    ]
     if getattr(table, "is_sharded", False):
         # Widths come off the schema: no whole-table block materialisation
         # for out-of-core tables (their Gram entries merge from shards).
         widths = [
-            len(table.categories(name)) - 1
-            if table.schema.spec(name).kind.value == "categorical"
-            else 1
-            for name in adjustment
+            len(table.categories(name)) - 1 if is_categorical else 1
+            for name, is_categorical in zip(adjustment, categorical)
         ]
     else:
         widths = [_attribute_block(table, name).shape[1] for name in adjustment]
     k = 1 + sum(widths)
-    if k > n:
-        return build_factorization(table, outcome, adjustment)
     gram = _assemble_gram(table, adjustment, widths, k)
-    if gram.diagonal().all():
-        gram_inv = _finish_gram(gram)
-        if gram_inv is None:
-            return build_factorization(table, outcome, adjustment)
-        w = _build_design_block(table, adjustment)
-        y = _outcome_vector(table, outcome)
-        wy = _outcome_products(table, outcome, adjustment, widths, k)
-        # One fused GEMV: y_res = y - W (G^-1 Wᵀy), accumulated in place.
-        y_res = blas.dgemv(
-            -1.0, w, gram_inv @ wy, beta=1.0, y=y.copy(), overwrite_y=1
-        )
-        _count_route("gram")
-        return GramFactorization(
-            w=w,
-            gram_inv=gram_inv,
-            rank=k,
-            y_res=y_res,
-            y_res_sq=float(y_res @ y_res),
-            n=n,
-        )
-
-    # Slow path: absent one-hot categories leave exactly-zero columns.
-    # Subselect the already-assembled Gram instead of re-running a syrk
-    # over a materialised reduced design: a zero column contributes nothing
-    # to any cross product, so dropping its row/column of ``G`` *is* the
-    # reduced design's Gram, built from the same memoised (or, for
-    # out-of-core tables, shard-merged) pair products as the fast path.
-    # Sorted index subselection preserves the upper-triangular/zero-lower
-    # layout ``_finish_gram`` relies on.
-    nonzero = gram.diagonal().copy()
-    nonzero[0] = float(n)  # the intercept column is never zero
-    nonzero = nonzero > 0.0
-    keep = np.flatnonzero(nonzero)
-    reduced = np.ascontiguousarray(gram[np.ix_(keep, keep)])
-    gram_inv = _finish_gram(reduced)
+    keep = _spanning_columns(gram, widths, categorical)
+    if keep.size > n:
+        return build_factorization(table, outcome, adjustment)
+    reduced = keep.size < k
+    if reduced:
+        # Subselecting the assembled Gram *is* the reduced design's Gram
+        # (built from the same memoised, or for out-of-core tables
+        # shard-merged, pair products); sorted index subselection keeps
+        # the upper-triangular/zero-lower layout ``_finish_gram`` needs.
+        gram = np.ascontiguousarray(gram[np.ix_(keep, keep)])
+    gram_inv = _finish_gram(gram)
     if gram_inv is None:
         return build_factorization(table, outcome, adjustment)
+    w = _build_design_block(table, adjustment)
+    wy = _outcome_products(table, outcome, adjustment, widths, k)
+    if reduced:
+        w = np.ascontiguousarray(w[:, keep])
+        wy = wy[keep]
     y = _outcome_vector(table, outcome)
-    w = np.ascontiguousarray(_build_design_block(table, adjustment)[:, nonzero])
-    wy = _outcome_products(table, outcome, adjustment, widths, k)[keep]
+    # One fused GEMV: y_res = y - W (G^-1 Wᵀy), accumulated in place.
     y_res = blas.dgemv(-1.0, w, gram_inv @ wy, beta=1.0, y=y.copy(), overwrite_y=1)
-    _count_route("gram_reduced")
+    _count_route("gram_reduced" if reduced else "gram")
     return GramFactorization(
         w=w,
         gram_inv=gram_inv,

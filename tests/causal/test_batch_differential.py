@@ -10,8 +10,10 @@ This file is the contract:
 - candidate-by-candidate equality of the level kernel
   (:func:`~repro.causal.batch.estimate_level_rows`) against
   ``estimator.estimate`` on synthetic, German, and Stack Overflow data;
-- exactness on rank-deficient designs (they take the scalar path inside the
-  batch engine) and on absent one-hot categories;
+- exactness on rank-deficient designs: a truly collinear design (e.g. a
+  duplicated attribute) takes the scalar path inside the batch engine and
+  matches it bit for bit, while absent one-hot categories and absent
+  reference levels stay on the Gram route at rtol 1e-9;
 - property tests: batch-of-one ≡ scalar, candidate-permutation invariance,
   FWL affine equivariance of the batched estimates, mixed-adjustment levels
   ≡ one call per adjustment group;

@@ -9,8 +9,11 @@ composed from packed item bitsets, popcount-pruned, and estimated through
   :meth:`~repro.causal.estimators.LinearAdjustmentEstimator.estimate` to
   rtol 1e-9, and bit-for-bit on every fallback path (positivity, degenerate
   designs) — the scalar path defines those;
-- the Gram factorization deflates absent one-hot categories off its
-  diagonal instead of falling back;
+- the Gram factorization keeps a basis of ``col(W)`` chosen from exact
+  counts instead of falling back: it deflates absent one-hot categories
+  off its diagonal and drops one column of every categorical block whose
+  reference level is absent (that block sums to the intercept), also when
+  only the reduction brings the design within its row count;
 - the level engine explores the same lattice as the scalar per-candidate
   reference — node for node, keep flag for keep flag — and serial ≡
   process(2) and cached ≡ uncached stay bit-identical;
@@ -139,6 +142,66 @@ def test_gram_factorization_drops_absent_categories(rng):
     assert factorization.rank == 3
     rows = random_rows(rng, 6, sub.n_rows)
     adjustments = [("z",)] * 6
+    got = estimate_level_rows(sub, rows, "y", adjustments)
+    assert_results_close(got, scalar_reference(sub, rows, "y", adjustments))
+
+
+def _one_absent_reference(rng):
+    """``z`` without its reference level ``a``: b, c, d sum to the intercept."""
+    n = 400
+    z = rng.choice(["a", "b", "c", "d"], size=n).astype(object)
+    table = Table({"z": z, "y": rng.normal(size=n)})
+    return table.filter(np.asarray(z != "a")), ("z",), 1 + (3 - 1)
+
+
+def _two_absent_references(rng):
+    """Both categoricals lack their reference level; ``z1`` also lacks ``c``."""
+    n = 600
+    z1 = rng.choice(list("abcde"), size=n).astype(object)
+    z2 = rng.choice(list("pqr"), size=n).astype(object)
+    table = Table(
+        {"z1": z1, "z2": z2, "x": rng.normal(size=n), "y": rng.normal(size=n)}
+    )
+    keep = (z1 != "a") & (z1 != "c") & (z2 != "p")
+    # z1 keeps b, d, e; z2 keeps q, r; x is continuous.
+    return table.filter(keep), ("z1", "z2", "x"), 1 + (3 - 1) + (2 - 1) + 1
+
+
+def _wide_before_reduction(rng):
+    """16 rows against 17 design columns, of which 5 span ``col(W)``."""
+    levels = [f"c{i:02d}" for i in range(16)]
+    z = np.array(levels * 4, dtype=object)
+    table = Table(
+        {"z": z, "x": rng.normal(size=z.size), "y": rng.normal(size=z.size)}
+    )
+    sub = table.filter(np.isin(z, ["c03", "c05", "c07", "c11"]))
+    assert 1 + (len(levels) - 1) + 1 > sub.n_rows
+    return sub, ("z", "x"), 1 + (4 - 1) + 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_one_absent_reference, _two_absent_references, _wide_before_reduction],
+    ids=["one-attribute", "two-attributes", "wide-before-reduction"],
+)
+def test_gram_factorization_drops_absent_reference_levels(rng, case):
+    """A categorical block with no row at its dropped reference level sums
+    to the intercept; the Gram route drops the block's first present column
+    (col(W) is unchanged) instead of sending the design to the QR build and
+    every column to the scalar fallback."""
+    from repro.obs import telemetry_session
+
+    sub, adjustment, rank = case(rng)
+    with telemetry_session(enabled=True) as telemetry:
+        factorization = build_rows_factorization(sub, "y", adjustment)
+    routes = telemetry.registry.snapshot()["counters"][
+        "estimation.factorizations"
+    ]["values"]
+    assert routes == {"route=gram_reduced": 1.0}
+    assert isinstance(factorization, GramFactorization)
+    assert factorization.rank == rank
+    rows = random_rows(rng, 8, sub.n_rows)
+    adjustments = [adjustment] * 8
     got = estimate_level_rows(sub, rows, "y", adjustments)
     assert_results_close(got, scalar_reference(sub, rows, "y", adjustments))
 

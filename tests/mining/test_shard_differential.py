@@ -15,9 +15,11 @@ Also pinned here:
 
 - the 36-world scenario oracle smoke passes with sharding on (every grid
   world mines to a bit-identical ruleset out of core);
-- the absent-category (exactly-zero design column) route builds its
+- the absent-category route (an exactly-zero design column, or a
+  categorical block with no row at its reference level) builds its
   reduced Gram by subselecting the assembled block Gram — no materialised
-  re-accumulation — and agrees with the QR reference factorization.
+  re-accumulation — agrees with the QR reference factorization of the
+  same col(W), and is bit-for-bit the in-RAM build off a shard store.
 """
 
 from __future__ import annotations
@@ -209,63 +211,95 @@ def test_full_grid_sharded_oracle_smoke():
 
 # -- absent-category routing pin ---------------------------------------------------
 
+#: (City level kept, adjustment whose QR build spans the same col(W)).
+#: Keeping the reference level ``Metro`` leaves Rural's one-hot column all
+#: zero, which the QR build deflates too.  Keeping ``Rural`` leaves the
+#: reference level absent: Rural's column equals the intercept, which the
+#: QR build treats as collinear, so its reference is the adjustment-free
+#: design with the same col(W).
+ABSENT_LEVEL_CASES = (("Metro", ("City",)), ("Rural", ()))
 
-def _absent_category_subtable():
-    """A sub-population whose ``City`` one-hot block has an all-zero column."""
-    table = build_toy_table(n=400, seed=3)
-    mask = table.column("City").decode() == "Metro"
-    return table.filter(mask)
+
+def _absent_category_subtable(table, level):
+    """The sub-population of one City level: the other level is absent."""
+    return table.filter(table.column("City").decode() == level)
 
 
 def test_absent_category_routes_through_reduced_gram():
-    """The zero-column design takes the block-Gram subselection route (no
-    materialised slow rebuild) and the route counter pins it."""
+    """A zero-column or absent-reference design takes the block-Gram
+    subselection route (no materialised slow rebuild, no QR build) and the
+    route counter pins it."""
     from repro.causal.batch import GramFactorization, build_rows_factorization
     from repro.obs import telemetry_session
 
-    sub = _absent_category_subtable()
-    with telemetry_session(enabled=True) as telemetry:
-        factorization = build_rows_factorization(sub, "Income", ("City",))
-    routes = telemetry.registry.snapshot()["counters"][
-        "estimation.factorizations"
-    ]["values"]
-    assert routes.get("route=gram_reduced") == 1.0
-    assert "route=qr" not in routes
-    assert isinstance(factorization, GramFactorization)
+    table = build_toy_table(n=400, seed=3)
+    for level, _ in ABSENT_LEVEL_CASES:
+        sub = _absent_category_subtable(table, level)
+        with telemetry_session(enabled=True) as telemetry:
+            factorization = build_rows_factorization(sub, "Income", ("City",))
+        routes = telemetry.registry.snapshot()["counters"][
+            "estimation.factorizations"
+        ]["values"]
+        assert routes == {"route=gram_reduced": 1.0}, level
+        assert isinstance(factorization, GramFactorization)
 
 
 def test_reduced_gram_matches_qr_reference():
     """Differential pin: the subselected-Gram factorization agrees with the
-    QR reference build on the same zero-column design."""
+    QR reference build on a design spanning the same col(W)."""
     from repro.causal.batch import build_factorization, build_rows_factorization
 
-    sub = _absent_category_subtable()
-    gram = build_rows_factorization(sub, "Income", ("City",))
-    reference = build_factorization(sub, "Income", ("City",))
-    assert gram.n == reference.n
-    # One categorical with one present level: intercept only survives.
-    assert gram.rank == reference.rank
-    np.testing.assert_allclose(
-        gram.y_res, reference.y_res, rtol=1e-9, atol=1e-9
-    )
-    np.testing.assert_allclose(gram.y_res_sq, reference.y_res_sq, rtol=1e-9)
+    table = build_toy_table(n=400, seed=3)
+    for level, reference_adjustment in ABSENT_LEVEL_CASES:
+        sub = _absent_category_subtable(table, level)
+        gram = build_rows_factorization(sub, "Income", ("City",))
+        reference = build_factorization(sub, "Income", reference_adjustment)
+        assert not reference.degenerate
+        assert gram.n == reference.n
+        # One categorical with one present level: intercept only survives.
+        assert gram.rank == reference.rank == 1
+        np.testing.assert_allclose(
+            gram.y_res, reference.y_res, rtol=1e-9, atol=1e-9
+        )
+        np.testing.assert_allclose(gram.y_res_sq, reference.y_res_sq, rtol=1e-9)
+
+
+def _assert_same_factorization(got, want) -> None:
+    assert type(got) is type(want)
+    assert (got.n, got.rank, got.degenerate) == (want.n, want.rank, want.degenerate)
+    np.testing.assert_array_equal(got.w, want.w)
+    np.testing.assert_array_equal(got.gram_inv, want.gram_inv)
+    np.testing.assert_array_equal(got.y_res, want.y_res)
 
 
 def test_reduced_gram_matches_qr_reference_sharded(tmp_path):
     """Same pin with the parent table out of core: the context gather off
-    the shard store feeds the identical reduced-Gram build."""
+    the shard store feeds the identical reduced-Gram build, bit for bit, and
+    a store whose root lacks the level decides the reduction on
+    shard-merged counts."""
     from repro.causal.batch import build_factorization, build_rows_factorization
     from repro.datasets.sharded import ShardedTable
 
     table = build_toy_table(n=400, seed=3)
     store = ShardedTable.write(table, str(tmp_path / "store"), 73)
-    mask = store.column("City").decode() == "Metro"
-    sub = store.filter(mask)
-    in_ram = table.filter(table.column("City").decode() == "Metro")
-    assert sub.fingerprint() == in_ram.fingerprint()
-    gram = build_rows_factorization(sub, "Income", ("City",))
-    reference = build_factorization(in_ram, "Income", ("City",))
-    assert gram.rank == reference.rank
-    np.testing.assert_allclose(
-        gram.y_res, reference.y_res, rtol=1e-9, atol=1e-9
-    )
+    for level, reference_adjustment in ABSENT_LEVEL_CASES:
+        sub = store.filter(store.column("City").decode() == level)
+        in_ram = _absent_category_subtable(table, level)
+        assert sub.fingerprint() == in_ram.fingerprint()
+        gram = build_rows_factorization(sub, "Income", ("City",))
+        _assert_same_factorization(
+            gram, build_rows_factorization(in_ram, "Income", ("City",))
+        )
+        reference = build_factorization(in_ram, "Income", reference_adjustment)
+        assert gram.rank == reference.rank
+        np.testing.assert_allclose(
+            gram.y_res, reference.y_res, rtol=1e-9, atol=1e-9
+        )
+        # Shard-merged Gram entries are exact integer counts: the same
+        # columns survive and the inverse matches bit for bit; the outcome
+        # products are shard-order float sums (rtol, as for any root).
+        root = ShardedTable.write(in_ram, str(tmp_path / level), 53)
+        merged = build_rows_factorization(root, "Income", ("City",))
+        assert merged.rank == gram.rank
+        np.testing.assert_array_equal(merged.gram_inv, gram.gram_inv)
+        np.testing.assert_allclose(merged.y_res, gram.y_res, rtol=1e-9, atol=1e-9)

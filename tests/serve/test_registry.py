@@ -231,35 +231,45 @@ def test_http_activating_absent_version_is_404(registry_server):
 
 
 def test_hot_reload_under_concurrent_load_no_hybrids(registry_server):
-    """Every response during a mid-load swap is wholly v1 or wholly v2.
+    """Every response during a mid-load swap is wholly v1 or wholly v2, and
+    every request sent after the swap returned is answered by v2.
 
     The version-utility pairing is the tell: v1 answers 5.0, v2 answers
     9.0.  A torn generation (new version number with the old engine, or
     vice versa) would break the pairing; a dropped request would surface
-    as a non-200 or an exception.
+    as a non-200 or an exception.  The load threads keep sending until the
+    activation response is back, then send a fixed number more, so the
+    post-swap check never depends on how long the swap took.
     """
     _, base, __ = registry_server
     utility_by_version = {1: 5.0, 2: 9.0}
+    after_swap = 10
     results: list[tuple] = []
     errors: list[BaseException] = []
     lock = threading.Lock()
     start = threading.Barrier(4)
+    activated = threading.Event()
 
     def hammer():
         try:
             start.wait(timeout=10)
-            for __ in range(30):
+            remaining = after_swap
+            while remaining:
+                sent_after_swap = activated.is_set()
                 status, payload = _post(
                     base + "/v1/prescribe", {"individual": US_ROW}
                 )
                 with lock:
                     results.append(
                         (
+                            sent_after_swap,
                             status,
                             payload.get("ruleset_version"),
                             payload["prescription"]["expected_utility"],
                         )
                     )
+                if sent_after_swap:
+                    remaining -= 1
         except BaseException as exc:  # noqa: BLE001 - collected for assert
             with lock:
                 errors.append(exc)
@@ -269,17 +279,21 @@ def test_hot_reload_under_concurrent_load_no_hybrids(registry_server):
         thread.start()
     start.wait(timeout=10)
     # Swap mid-load.
-    status, __ = _post(base + "/v1/artifacts/activate", {"version": 2})
+    try:
+        status, __ = _post(base + "/v1/artifacts/activate", {"version": 2})
+    finally:
+        activated.set()
     assert status == 200
     for thread in threads:
         thread.join(timeout=30)
+        assert not thread.is_alive()
     assert not errors, errors
-    assert len(results) == 90
-    assert all(status == 200 for status, *_ in results)
-    versions = {version for __, version, ___ in results}
-    assert versions <= {1, 2}
-    assert 2 in versions  # requests after the swap saw the new generation
-    for __, version, utility in results:
+    for sent_after_swap, status, version, utility in results:
+        assert status == 200
+        assert version in utility_by_version
         assert utility == utility_by_version[version], (
             f"hybrid response: version {version} answered utility {utility}"
         )
+        if sent_after_swap:
+            assert version == 2, "a request sent after the swap saw v1"
+    assert sum(sent for sent, *__ in results) == 3 * after_swap
