@@ -49,6 +49,20 @@ def _parse_workers(text: str) -> list[int]:
     return counts
 
 
+def _environment() -> str:
+    """numpy/scipy versions and BLAS thread variables, for comparing records."""
+    import numpy
+    import scipy
+
+    fields = [f"numpy={numpy.__version__}", f"scipy={scipy.__version__}"]
+    fields += [
+        f"{key}={value}"
+        for key, value in sorted(os.environ.items())
+        if key.startswith(("OPENBLAS_", "OMP_"))
+    ]
+    return " ".join(fields)
+
+
 def _run_once(config, bundle, executor):
     start = time.perf_counter()
     result = FairCap(config, executor=executor).run(
@@ -105,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     lines = [
         f"bench_parallel: dataset={args.dataset} rows={bundle.table.n_rows} "
         f"variant={args.variant!r} executor={args.executor} "
-        f"cpus={os.cpu_count()}",
+        f"cpus={os.cpu_count()} {_environment()}",
         "",
         f"{'executor':<12} {'workers':>7} {'seconds':>9} {'speedup':>9}  identical",
     ]

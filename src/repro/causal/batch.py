@@ -106,22 +106,6 @@ GRAM_RCOND_MIN = 1e-3
 
 _SCALAR_FALLBACK = LinearAdjustmentEstimator()
 
-# Lazily-bound handle to repro.parallel.shm (a causal -> parallel module
-# import would be cyclic at load time).  Stays None until the first
-# cache-miss lookup; the lookup itself is a no-op dictionary probe in
-# every process that never attached a shared-memory segment.
-_shm = None
-
-
-def _shared_lookup(table: Table, key):
-    """A worker-attached shared-memory buffer for a per-table cache key."""
-    global _shm
-    if _shm is None:
-        from repro.parallel import shm
-
-        _shm = shm
-    return _shm.lookup(table, key)
-
 _POSITIVITY = POSITIVITY_REASON
 _DEGENERATE = "degenerate fit: no residual degrees of freedom"
 
@@ -207,14 +191,12 @@ def _attribute_block(table: Table, name: str) -> np.ndarray:
     cache = table.__dict__.setdefault("_design_block_cache", {})
     block = cache.get(name)
     if block is None:
-        block = _shared_lookup(table, ("block", name))
-    if block is None:
         column = table.column(name)
         if isinstance(column, CategoricalColumn):
             block = one_hot(column.codes, len(column.categories))
         else:
             block = column.decode().reshape(-1, 1).astype(np.float64, copy=False)
-    cache[name] = block
+        cache[name] = block
     return block
 
 
@@ -230,10 +212,8 @@ def _attribute_block_t(table: Table, name: str) -> np.ndarray:
     cache = table.__dict__.setdefault("_design_block_t_cache", {})
     block_t = cache.get(name)
     if block_t is None:
-        block_t = _shared_lookup(table, ("block_t", name))
-    if block_t is None:
         block_t = np.ascontiguousarray(_attribute_block(table, name).T)
-    cache[name] = block_t
+        cache[name] = block_t
     return block_t
 
 
@@ -416,15 +396,13 @@ def _block_column_sums(table: Table, name: str) -> np.ndarray:
     key = ("sums", name)
     sums = cache.get(key)
     if sums is None:
-        sums = _shared_lookup(table, key)
-    if sums is None:
         if getattr(table, "is_sharded", False):
             sums = _merge_shard_arrays(
                 table, lambda shard: _block_column_sums(shard, name)
             )
         else:
             sums = _attribute_block(table, name).sum(axis=0)
-    cache[key] = sums
+        cache[key] = sums
     return sums
 
 
@@ -435,8 +413,6 @@ def _gram_pair(table: Table, a: str, b: str) -> np.ndarray:
     key = ("pair", first, second)
     product = cache.get(key)
     if product is None:
-        product = _shared_lookup(table, key)
-    if product is None:
         if getattr(table, "is_sharded", False):
             product = _merge_shard_arrays(
                 table, lambda shard: _gram_pair(shard, first, second)
@@ -445,7 +421,7 @@ def _gram_pair(table: Table, a: str, b: str) -> np.ndarray:
             product = (
                 _attribute_block(table, first).T @ _attribute_block(table, second)
             )
-    cache[key] = product
+        cache[key] = product
     return product if (a, b) == (first, second) else product.T
 
 
@@ -455,15 +431,13 @@ def _outcome_block_products(table: Table, outcome: str, name: str) -> np.ndarray
     key = ("y", outcome, name)
     product = cache.get(key)
     if product is None:
-        product = _shared_lookup(table, key)
-    if product is None:
         if getattr(table, "is_sharded", False):
             product = _merge_shard_arrays(
                 table, lambda shard: _outcome_block_products(shard, outcome, name)
             )
         else:
             product = _outcome_vector(table, outcome) @ _attribute_block(table, name)
-    cache[key] = product
+        cache[key] = product
     return product
 
 
@@ -473,17 +447,13 @@ def _outcome_sum(table: Table, outcome: str) -> float:
     key = ("ysum", outcome)
     total = cache.get(key)
     if total is None:
-        total = _shared_lookup(table, key)
-        if total is not None:
-            total = float(np.asarray(total).reshape(-1)[0])
-    if total is None:
         if getattr(table, "is_sharded", False):
             total = 0.0
             for shard in table.iter_shards():
                 total += _outcome_sum(shard, outcome)
         else:
             total = float(_outcome_vector(table, outcome).sum())
-    cache[key] = total
+        cache[key] = total
     return total
 
 

@@ -90,15 +90,6 @@ class FairCapConfig:
         other estimators ignore the flag.  Mined rulesets are identical
         either way (estimates agree to working precision; degenerate
         candidates take the scalar path bit-identically).
-    shared_memory:
-        Publish the root table's float64 design-block/Gram buffers into a
-        ``multiprocessing.shared_memory`` segment before a process-pool
-        run and attach it read-only in each worker
-        (:mod:`repro.parallel.shm`).  Attached buffers are verbatim copies
-        of what workers would rebuild, so results are bit-identical with
-        the flag on or off; any attach failure falls back to the rebuild
-        path (counted under ``shm.fallbacks``).  Only affects the process
-        executor.
     max_chunk_retries:
         How many times a failed mining chunk (worker death, injected
         fault, chunk timeout) is re-executed before degrading to
@@ -177,7 +168,6 @@ class FairCapConfig:
     # hundred bytes each) so cross-variant reuse survives the LRU.
     cache_size: int = 65_536
     batch_estimation: bool = True
-    shared_memory: bool = True
     max_chunk_retries: int = 2
     chunk_timeout_seconds: float | None = None
     retry_backoff_seconds: float = 0.05

@@ -254,7 +254,6 @@ class FairCap:
                         "n_rules": len(greedy.ruleset),
                         "nodes_evaluated": nodes_evaluated,
                         "batch_estimation": config.batch_estimation,
-                        "shared_memory": config.shared_memory,
                         "timings": timer.as_dict(),
                     },
                 )

@@ -73,7 +73,7 @@ class ShardedTable:
     """
 
     #: Dispatch marker for :meth:`Predicate.mask` / :meth:`Pattern.mask`
-    #: and the sharded branches of apriori / batch / shm.
+    #: and the sharded branches of apriori / batch.
     is_sharded = True
 
     def __init__(self, directory: str, manifest: dict) -> None:
@@ -301,8 +301,8 @@ class ShardedTable:
         Byte-for-byte the same blake2b stream
         :meth:`repro.tabular.table.Table.fingerprint` hashes — concatenated
         per-shard code/value bytes equal the whole column's bytes — so a
-        sharded table and its materialisation share cache keys, checkpoint
-        run keys, and shm manifests.  Computed once (write-time spills
+        sharded table and its materialisation share cache keys and
+        checkpoint run keys.  Computed once (write-time spills
         store it in the manifest; chunked writers hash on first demand).
         """
         fp = self._stored_fingerprint

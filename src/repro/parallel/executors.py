@@ -266,8 +266,7 @@ class ProcessExecutor(SerialExecutor):
         - ``BrokenProcessPool`` (a worker died: OOM kill, segfault,
           injected ``os._exit``) charges an attempt to every unfinished
           chunk — the pool cannot say which one killed it — and respawns
-          the pool, re-running the initializer (including shm re-attach:
-          the caller holds the segment until this method returns),
+          the pool, re-running the initializer,
           ``retry.attempts{reason="worker_lost"}`` + ``pool.respawns``;
         - a chunk exceeding ``policy.chunk_timeout_seconds`` cannot be
           cancelled (the worker is stuck *running* it), so the pool is

@@ -39,7 +39,7 @@ from typing import Sequence
 
 from repro.parallel.cache import EstimationCache
 from repro.parallel.executors import SerialExecutor, chunk_indices
-from repro.parallel.resilience import RetryPolicy, active_plan
+from repro.parallel.resilience import RetryPolicy
 
 
 @dataclass
@@ -73,11 +73,13 @@ def _build_state(payload: dict) -> _MiningState:
     each run's process pool is torn down at the end.
 
     The degraded-serial recovery path runs this builder *in the caller*
-    (``payload["caller_pid"]`` matches): there it must neither install a
-    worker telemetry session (that would clobber the caller's live one)
-    nor attach the shm segment (the caller's table already owns the
-    buffers, and attached views would dangle once the segment is
-    unlinked at pool teardown).
+    (``payload["caller_pid"]`` matches): there it must not install a
+    worker telemetry session (that would clobber the caller's live one).
+
+    Each worker builds its design blocks and Gram products on the
+    sub-tables it mines, exactly as the serial loop does: every context
+    estimates on its own sub-table, so nothing built on the caller's root
+    table would be read.
     """
     from repro.rules.utility import RuleEvaluator
 
@@ -103,20 +105,6 @@ def _build_state(payload: dict) -> _MiningState:
         if snapshot:
             cache.seed(snapshot)
         cache.record_new_entries()
-    manifest = payload.get("shm")
-    if manifest is not None and not in_caller:
-        # Attach the caller's shared design/Gram buffers (read-only) and
-        # seed the root table's memo caches with the mapped views; on any
-        # failure shm.attach counts a fallback and the worker rebuilds.
-        from repro.parallel import shm
-
-        plan = active_plan()
-        if plan is not None and plan.corrupts_attach():
-            # Injected attach corruption: point the manifest at a segment
-            # that does not exist, exercising the fallback path end to end.
-            manifest = {**manifest, "name": "psm_repro_chaos_missing"}
-        if shm.attach(manifest) is not None:
-            shm.adopt(payload["table"])
     evaluator = RuleEvaluator(
         payload["table"],
         payload["outcome"],
@@ -272,34 +260,14 @@ def mine_groups_detailed(
                 else config.cache_size
             ),
         }
-        share = None
-        if getattr(config, "shared_memory", True):
-            # Publish the root table's design/Gram buffers once; workers
-            # attach the segment in the pool initializer.  The segment is
-            # unlinked on pool teardown whatever happens — live worker
-            # mappings survive an unlink, leaked names would not survive us.
-            from repro.parallel import shm
-
-            if getattr(evaluator.table, "is_sharded", False):
-                share = shm.publish_sharded_table(
-                    evaluator.table, patterns, evaluator.protected
-                )
-            else:
-                share = shm.publish_table(evaluator.table, evaluator.outcome)
-            if share is not None:
-                payload["shm"] = share.manifest
-        try:
-            chunk_results = executor.map_with_state(
-                _build_state,
-                payload,
-                _mine_chunk,
-                chunks,
-                retry=RetryPolicy.from_config(config),
-                fault_plan=getattr(config, "fault_plan", None),
-            )
-        finally:
-            if share is not None:
-                share.close()
+        chunk_results = executor.map_with_state(
+            _build_state,
+            payload,
+            _mine_chunk,
+            chunks,
+            retry=RetryPolicy.from_config(config),
+            fault_plan=getattr(config, "fault_plan", None),
+        )
     else:
         # Serial / thread: share the caller's evaluator (and its caches)
         # directly — threads are safe because all inputs are immutable and

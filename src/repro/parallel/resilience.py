@@ -32,17 +32,16 @@ Fault-plan string schema (CLI ``--fault-plan`` / config ``fault_plan``)::
 
     plan   := spec (";" spec)*
     spec   := kind [":" field "=" value ("," field "=" value)*]
-    kind   := "kill" | "delay" | "raise" | "corrupt_attach" | "abort"
+    kind   := "kill" | "delay" | "raise" | "abort"
     field  := "chunk" | "attempt" | "seconds" | "after"
 
 ``kill:chunk=1`` kills the worker process executing chunk 1 (attempt 0);
 ``delay:chunk=0,seconds=30`` makes chunk 0 sleep (pair with a chunk
 timeout to exercise the timeout path); ``raise:chunk=2,attempt=any``
 raises :class:`ChaosError` on *every* attempt of chunk 2 (exhausts the
-retry budget, forcing the degraded-serial path); ``corrupt_attach``
-corrupts the shm manifest inside workers so attach falls back to the
-rebuild path; ``abort:after=3`` exits the *driver* after the third
-checkpoint save (deterministic crashed-driver tests).
+retry budget, forcing the degraded-serial path); ``abort:after=3`` exits
+the *driver* after the third checkpoint save (deterministic
+crashed-driver tests).
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ class RetryPolicy:
 
 # -- fault-injection harness --------------------------------------------------
 
-FAULT_KINDS = ("kill", "delay", "raise", "corrupt_attach", "abort")
+FAULT_KINDS = ("kill", "delay", "raise", "abort")
 
 #: Sentinel for "fire on every attempt" (spelled ``attempt=any`` in plans).
 ANY_ATTEMPT = -1
@@ -154,7 +153,7 @@ class FaultSpec:
             raise ConfigError("abort 'after' must be >= 1")
 
     def matches(self, chunk: int, attempt: int) -> bool:
-        if self.kind in ("corrupt_attach", "abort"):
+        if self.kind == "abort":
             return False  # not chunk-scoped
         if self.chunk is not None and self.chunk != chunk:
             return False
@@ -200,9 +199,6 @@ class FaultPlan:
             raise ConfigError(f"empty fault plan {text!r}")
         return cls(specs)
 
-    def corrupts_attach(self) -> bool:
-        return any(spec.kind == "corrupt_attach" for spec in self.specs)
-
     def abort_after(self) -> int | None:
         for spec in self.specs:
             if spec.kind == "abort":
@@ -222,10 +218,6 @@ _ACTIVE_PLAN: FaultPlan | None = None
 def install_plan(plan: FaultPlan | None) -> None:
     global _ACTIVE_PLAN
     _ACTIVE_PLAN = plan
-
-
-def active_plan() -> FaultPlan | None:
-    return _ACTIVE_PLAN
 
 
 def apply_chunk_faults(chunk: int, attempt: int) -> None:
@@ -291,10 +283,10 @@ def _digest(*parts) -> str:
 def config_digest(config) -> str:
     """Digest of the result-determining config fields.
 
-    ``shared_memory``/``batch_estimation``/… stay *in* the key even where
-    the differential suite proves them result-identical: resuming across a
-    flag flip would be correct but impossible to audit.  Only fields that
-    are result-neutral by construction (where the work runs, not what it
+    The engine flag ``batch_estimation`` stays *in* the key although the
+    differential suite proves it result-identical: resuming across a flag
+    flip would be correct but impossible to audit.  Only fields that are
+    result-neutral by construction (where the work runs, not what it
     computes) are excluded.
     """
     keyed = [

@@ -134,8 +134,8 @@ def test_toy_sharded_executors_identical(
 def test_german_sharded_executors_identical(
     request, in_ram_reference, executor_factory
 ):
-    """Process workers reopen the store by path and attach the published
-    predicate words / merged Gram stats over shared memory — same bits."""
+    """Workers mine the sharded handle (a forked process inherits it, a
+    spawned one reopens the store by path) — same bits as in RAM."""
     result = _run(
         request.getfixturevalue("german_problem"),
         shard_rows=800,

@@ -262,3 +262,23 @@ def test_config_spelling_matches_explicit_executor(request, serial_reference):
     configured = replace(config, executor="process", n_workers=2)
     result = FairCap(configured).run(table, schema, dag, protected)
     assert_identical_results(serial_reference("synth_problem"), result)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    # single-stratum's lone grouping context covers every row, so workers
+    # estimate on a sub-table equal to the root table they were shipped.
+    "world_name",
+    ["imbalanced-groups", "overlap-regions", "single-stratum"],
+)
+def test_process_executor_identical_on_oracle_worlds(world_name):
+    from repro.scenarios import ScenarioWorld, oracle_grid
+    from repro.scenarios.oracle import oracle_config, run_world
+
+    spec = {s.name: s for s in oracle_grid()}[world_name]
+    world = ScenarioWorld(spec)
+    bundle = world.bundle(500)
+    config = oracle_config(world)
+    reference = run_world(world, bundle, config)
+    result = run_world(world, bundle, config, executor=ProcessExecutor(2))
+    assert_identical_results(reference, result)

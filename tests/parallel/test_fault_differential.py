@@ -2,16 +2,16 @@
 
 The fault-tolerance layer (:mod:`repro.parallel.resilience`) promises that
 recovery never changes results — a run that survived a worker kill, a
-stuck chunk, a corrupted shm attach, or a degraded-serial chunk is
-bit-for-bit identical to the fault-free serial reference, and a resumed
-run is identical to a fresh one.  These tests inject each failure mode
-deterministically (faults are keyed by ``(chunk, attempt)``, no timing
-races) and compare through the same rule-for-rule assertion the executor
-differentials use.
+stuck chunk, or a degraded-serial chunk is bit-for-bit identical to the
+fault-free serial reference, and a resumed run is identical to a fresh
+one.  These tests inject each failure mode deterministically (faults are
+keyed by ``(chunk, attempt)``, no timing races) and compare through the
+same rule-for-rule assertion the executor differentials use.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
@@ -22,7 +22,6 @@ import pytest
 
 from tests.conftest import build_toy_dag, build_toy_table
 from tests.parallel.test_equivalence import assert_identical_results
-from tests.parallel.test_shm import _psm_segments
 from repro.core.config import FairCapConfig
 from repro.core.faircap import FairCap
 from repro.mining.patterns import Pattern
@@ -30,6 +29,14 @@ from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.rules.protected import ProtectedGroup
 
 pytestmark = [pytest.mark.slow, pytest.mark.chaos]
+
+
+def _psm_segments() -> set[str]:
+    """POSIX shared-memory segments Python has created (named ``psm_*``)."""
+    try:
+        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
+        return set()
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +78,6 @@ FAULT_MATRIX = [
             retry_backoff_seconds=0.01,
         ),
     ),
-    # The shm manifest is corrupted inside workers: attach fails and every
-    # worker falls back to rebuilding its blocks locally.
-    ("attach-corruption", dict(fault_plan="corrupt_attach")),
     # A chunk fails every attempt: after max_retries it runs in-process on
     # the driver (degraded serial).
     (

@@ -69,19 +69,24 @@ def test_fault_plan_parse_round_trip():
         FaultSpec(kind="delay", chunk=0, seconds=0.5),
         FaultSpec(kind="raise", attempt=ANY_ATTEMPT),
     )
-    assert not plan.corrupts_attach()
     assert plan.abort_after() is None
 
 
-def test_fault_plan_parse_corrupt_and_abort():
-    plan = FaultPlan.parse("corrupt_attach;abort:after=3")
-    assert plan.corrupts_attach()
+def test_fault_plan_parse_abort():
+    plan = FaultPlan.parse("abort:after=3")
     assert plan.abort_after() == 3
 
 
 @pytest.mark.parametrize(
     "text",
-    ["", "explode", "kill:worker=1", "abort:after=0", "delay:seconds=-1"],
+    [
+        "",
+        "explode",
+        "kill:worker=1",
+        "abort:after=0",
+        "delay:seconds=-1",
+        "corrupt_attach",
+    ],
 )
 def test_fault_plan_rejects_malformed_specs(text):
     with pytest.raises(ConfigError):
@@ -97,8 +102,8 @@ def test_fault_spec_matching_is_keyed_by_chunk_and_attempt():
     assert any_attempt.matches(2, 0) and any_attempt.matches(2, 5)
     wildcard_chunk = FaultSpec(kind="delay", attempt=0)
     assert wildcard_chunk.matches(0, 0) and wildcard_chunk.matches(9, 0)
-    # corrupt_attach / abort are not chunk-scoped.
-    assert not FaultSpec(kind="corrupt_attach").matches(0, 0)
+    # abort is not chunk-scoped.
+    assert not FaultSpec(kind="abort").matches(0, 0)
 
 
 def test_config_accepts_plan_strings_and_validates_knobs():
