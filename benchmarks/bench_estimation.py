@@ -55,6 +55,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from benchenv import environment
 from repro.core.faircap import FairCap
 from repro.experiments.settings import ExperimentSettings
 
@@ -549,8 +550,6 @@ def main(argv: list[str] | None = None) -> int:
             )
     wall = time.perf_counter() - wall_start
 
-    from repro.parallel.executors import default_worker_count
-
     at_scale = rows[-1]
     payload = {
         "benchmark": "estimation",
@@ -559,13 +558,7 @@ def main(argv: list[str] | None = None) -> int:
         "step": "treatment_mining",
         "engines": list(ENGINES),
         "cpu_count": os.cpu_count(),
-        "env": {
-            "cpu_count": os.cpu_count(),
-            # Affinity-aware schedulable CPUs: what default_worker_count()
-            # actually sizes pools with on cgroup/taskset-limited runners.
-            "schedulable_cpus": default_worker_count(),
-            "python": sys.version.split()[0],
-        },
+        "env": environment(),
         "smoke": args.smoke,
         "reps": args.reps,
         "sizes": rows,

@@ -25,6 +25,7 @@ single-core container every curve is flat at ~1x by construction; the
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -32,6 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from benchenv import environment
 from repro.core.faircap import FairCap
 from repro.experiments.settings import ExperimentSettings
 from repro.parallel.executors import make_executor
@@ -47,20 +49,6 @@ def _parse_workers(text: str) -> list[int]:
     if not counts or any(c < 1 for c in counts):
         raise argparse.ArgumentTypeError("workers must be positive integers")
     return counts
-
-
-def _environment() -> str:
-    """numpy/scipy versions and BLAS thread variables, for comparing records."""
-    import numpy
-    import scipy
-
-    fields = [f"numpy={numpy.__version__}", f"scipy={scipy.__version__}"]
-    fields += [
-        f"{key}={value}"
-        for key, value in sorted(os.environ.items())
-        if key.startswith(("OPENBLAS_", "OMP_"))
-    ]
-    return " ".join(fields)
 
 
 def _run_once(config, bundle, executor):
@@ -119,11 +107,12 @@ def main(argv: list[str] | None = None) -> int:
     lines = [
         f"bench_parallel: dataset={args.dataset} rows={bundle.table.n_rows} "
         f"variant={args.variant!r} executor={args.executor} "
-        f"cpus={os.cpu_count()} {_environment()}",
+        f"cpus={os.cpu_count()}",
+        f"env {json.dumps(environment(), sort_keys=True)}",
         "",
         f"{'executor':<12} {'workers':>7} {'seconds':>9} {'speedup':>9}  identical",
     ]
-    print(lines[0])
+    print(*lines[:2], sep="\n")
 
     serial_seconds, reference = _run_once(config, bundle, make_executor("serial"))
     lines.append(f"{'serial':<12} {1:>7} {serial_seconds:>9.2f} {1.0:>8.2f}x  (reference)")

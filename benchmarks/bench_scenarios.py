@@ -42,6 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from benchenv import environment
 from repro.scenarios import (
     ScenarioWorld,
     check_world,
@@ -131,18 +132,11 @@ def main(argv: list[str] | None = None) -> int:
         rows.append(row)
     wall = time.perf_counter() - wall_start
 
-    from repro.parallel.executors import default_worker_count
-
     payload = {
         "benchmark": "scenarios",
         "step": "treatment_mining",
         "cpu_count": os.cpu_count(),
-        "env": {
-            "cpu_count": os.cpu_count(),
-            # Affinity-aware schedulable CPUs (what pools are sized with).
-            "schedulable_cpus": default_worker_count(),
-            "python": sys.version.split()[0],
-        },
+        "env": environment(),
         "smoke": args.smoke,
         "rows_per_scenario": args.rows,
         "reps": args.reps,

@@ -57,6 +57,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from benchenv import environment
 from repro.core.config import FairCapConfig
 from repro.core.faircap import FairCap
 from repro.core.variants import unconstrained
@@ -467,19 +468,13 @@ def main(argv: list[str] | None = None) -> int:
     results, failures = _run_workload(artifact, rows, load_shape)
     wall = time.perf_counter() - wall_start
 
-    from repro.parallel.executors import default_worker_count
-
     load = results["load"]
     probe = results["hot_reload_probe"]
     coalescing = results["coalescing"]
     payload = {
         "benchmark": "serve",
         "dataset": "german",
-        "env": {
-            "cpu_count": os.cpu_count(),
-            "schedulable_cpus": default_worker_count(),
-            "python": sys.version.split()[0],
-        },
+        "env": environment(),
         "smoke": args.smoke,
         "ruleset": {
             "rows_mined": n_rows,

@@ -29,9 +29,7 @@ from repro.causal.backdoor import (
     minimal_backdoor_set,
 )
 from repro.causal.batch import (
-    DesignFactorization,
     GramFactorization,
-    build_factorization,
     build_rows_factorization,
     estimate_level_rows,
 )
@@ -56,11 +54,9 @@ __all__ = [
     "is_valid_backdoor_set",
     "minimal_backdoor_set",
     "CateResult",
-    "DesignFactorization",
     "GramFactorization",
     "LinearAdjustmentEstimator",
     "StratifiedEstimator",
-    "build_factorization",
     "build_rows_factorization",
     "estimate_cate",
     "estimate_level_rows",

@@ -9,30 +9,33 @@ candidate, rebuilding identical one-hot adjustment blocks every time.
 
 This module factors the shared work out once and amortises it over the whole
 level via the Frisch-Waugh-Lovell theorem.  Write the design as
-``X = [t, W]`` with ``W = [1, Z-block]``; residualise both the treated
-indicator and the outcome against ``col(W)``::
+``X = [t, W]`` with ``W = [1, Z-block]``.  For ``W`` of full column rank,
+with Gram matrix ``G = WᵀW``, the orthogonal projector onto ``col(W)`` is
+``P = W G⁻¹ Wᵀ``; residualise both the treated indicator and the outcome
+against it::
 
-    t̃ = t - Q Qᵀ t          ỹ = y - Q Qᵀ y
+    t̃ = t - W G⁻¹ Wᵀ t          ỹ = y - W G⁻¹ Wᵀ y
 
-where ``Q`` is a thin orthonormal basis of ``col(W)``.  Then the OLS
-coefficient of ``t`` is ``β = (t̃·ỹ) / (t̃·t̃)``, its sampling variance is
-``s² / (t̃·t̃)``, and the residual sum of squares of the *full* regression is
-``ỹ·ỹ - (t̃·ỹ)²/(t̃·t̃)``.  The identity for the variance holds even when
-``W`` is rank deficient (absent one-hot categories, collinear adjustment
-columns): the ``t``-coefficient of the minimum-norm least-squares solution is
-the unique functional ``y ↦ t̃·y / t̃·t̃`` whenever ``t ∉ col(W)``, so the
-``t`` row of ``X⁺`` is ``t̃ᵀ/(t̃·t̃)`` and ``(XᵀX)⁺_tt = 1/(t̃·t̃)`` — exactly
-what the scalar path reads off ``pinv``.
+Then the OLS coefficient of ``t`` is ``β = (t̃·ỹ) / (t̃·t̃)``, its sampling
+variance is ``s² / (t̃·t̃)``, and the residual sum of squares of the *full*
+regression is ``ỹ·ỹ - (t̃·ỹ)²/(t̃·t̃)``.  ``P`` depends on ``col(W)`` alone,
+so any basis of it gives the same residuals: a ``W`` with structurally
+redundant columns is factorized through a full-rank subset of them.  The
+identity for the variance holds even when the design the scalar path fits
+is rank deficient (absent one-hot categories): the ``t``-coefficient of the
+minimum-norm least-squares solution is the unique functional
+``y ↦ t̃·y / t̃·t̃`` whenever ``t ∉ col(W)``, so the ``t`` row of ``X⁺`` is
+``t̃ᵀ/(t̃·t̃)`` and ``(XᵀX)⁺_tt = 1/(t̃·t̃)`` — exactly what the scalar path
+reads off ``pinv``.
 
-:class:`DesignFactorization` (a thin QR) and :class:`GramFactorization`
-(block-assembled normal equations, the fast path) capture the projector onto
-``col(W)``, its rank and the residualised outcome — computed once per
-(table, adjustment, outcome) and cacheable (see
-:class:`~repro.parallel.cache.EstimationCache`).
-:func:`estimate_level_rows` residualises a whole lattice level — an
-``(m, n)`` row stack of treated masks, grouped by adjustment set — in one
-GEMM pair per group and reads off all ``m`` estimates, standard errors and
-t-test p-values vectorised.
+:class:`GramFactorization` (block-assembled normal equations) captures
+``G⁻¹`` for that basis, its rank and the residualised outcome — computed
+once per (table, adjustment, outcome) and cacheable (see
+:class:`~repro.parallel.cache.EstimationCache`) — or marks the design
+degenerate.  :func:`estimate_level_rows` residualises a whole lattice level
+— an ``(m, n)`` row stack of treated masks, grouped by adjustment set — in
+one GEMM pair per group and reads off all ``m`` estimates, standard errors
+and t-test p-values vectorised.
 
 Exactness contract
 ------------------
@@ -46,12 +49,10 @@ and the rank behind the dof ``n - rank - 1`` — unchanged.  Candidates the
 FWL identities do not cover bit-identically fall back to the scalar
 ``ols()`` path per column:
 
-- a ``W`` the QR build certifies degenerate: collinear beyond those
-  structural cases (e.g. a duplicated attribute), or wider than its table
-  after them;
+- a ``W`` the Gram build rejects: collinear beyond those structural cases
+  (e.g. a duplicated attribute), wider than its table after them, or
+  ill-conditioned under the gate :data:`GRAM_RCOND_MIN`;
 - ``t`` numerically inside ``col(W)`` (the full design is rank deficient);
-- an ill-conditioned ``W`` whose numerical rank is ambiguous under the
-  ``lstsq`` cutoff rule;
 - a numerically perfect fit (RSS at rounding level), where the FWL RSS
   identity loses relative accuracy.
 
@@ -70,7 +71,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg as scipy_linalg
 from scipy import special
 from scipy.linalg import blas, lapack
 
@@ -87,21 +87,16 @@ from repro.tabular.schema import AttributeKind
 from repro.tabular.table import Table
 from repro.utils.errors import EstimationError
 
-# Guard thresholds for the scalar fallback (see module docstring).  The
-# rank cutoff mirrors numpy's lstsq rcond rule; CONDITION_MARGIN widens it
-# so designs whose rank determination is ambiguous between the W-SVD here
-# and the X-SVD inside lstsq are routed to the scalar path instead of
-# risking an off-by-one dof.  RCOND_FAST_PATH is the dtrcon estimate above
-# which a design is certified clean without computing singular values.
-CONDITION_MARGIN = 1e3
-RCOND_FAST_PATH = 1e-7
+# Guard thresholds for the scalar fallback (see module docstring).
 RESIDUAL_TOL = 1e-10  # ‖t̃‖²/‖t‖² below this -> t ∈ col(W) numerically
 PERFECT_FIT_TOL = 1e-12  # RSS/‖ỹ‖² below this -> scalar path
 # Condition gate of the Gram (normal-equations) factorization: its
 # projector loses ~kappa(W)^2 * eps of relative accuracy, so requiring
 # rcond(R) >= 1e-3 keeps Gram-path estimates ~1e-10-accurate — inside the
-# rtol-1e-9 differential contract — and routes anything worse to the QR
-# build, whose certification logic is the reference.
+# rtol-1e-9 differential contract.  A design under the gate is marked
+# degenerate and its columns take the scalar path, which defines their
+# bits.  That includes full-rank but badly scaled designs, such as a
+# continuous adjuster whose mean dwarfs its spread: exact, but slower.
 GRAM_RCOND_MIN = 1e-3
 
 _SCALAR_FALLBACK = LinearAdjustmentEstimator()
@@ -113,13 +108,12 @@ _DEGENERATE = "degenerate fit: no residual degrees of freedom"
 #: Precomputed label keys for the factorization-route counter: the one
 #: per-event hot site that fires on every factorization build.
 _ROUTE_KEYS = {
-    route: f"route={route}"
-    for route in ("gram", "gram_reduced", "qr", "qr_collinear")
+    route: f"route={route}" for route in ("gram", "gram_reduced", "degenerate")
 }
 
 
 def _count_route(route: str) -> None:
-    """Factorization route counter (Gram fast path vs QR reference).
+    """Factorization route counter: ``gram``, ``gram_reduced`` or ``degenerate``.
 
     Engine counters like this one are *not* in the deterministic family:
     with a cache attached, whether a (table, adjustment) pair is factorized
@@ -149,36 +143,6 @@ def _count_degenerate_fits(kernel: str, count: int) -> None:
             telemetry.registry.inc("estimation.degenerate_fits", count, kernel=kernel)
 
 
-@dataclass(frozen=True)
-class DesignFactorization:
-    """Orthonormal factorization of the shared design block ``W = [1, Z]``.
-
-    Attributes
-    ----------
-    q:
-        ``(n, r)`` orthonormal basis of ``col(W)``.
-    rank:
-        Numerical rank ``r`` of ``W`` under the ``lstsq`` cutoff rule.
-    y_res:
-        The outcome residualised against ``col(W)`` (``ỹ``).
-    y_res_sq:
-        Cached ``ỹ·ỹ``.
-    n:
-        Row count of the underlying table.
-    degenerate:
-        True when ``W`` is rank deficient beyond exactly-zero columns or
-        ill-conditioned near the rank cutoff; every estimate against a
-        degenerate factorization takes the scalar fallback path.
-    """
-
-    q: np.ndarray
-    rank: int
-    y_res: np.ndarray
-    y_res_sq: float
-    n: int
-    degenerate: bool
-
-
 def _attribute_block(table: Table, name: str) -> np.ndarray:
     """Encoded design columns of one adjustment attribute, memoised per table.
 
@@ -205,9 +169,8 @@ def _attribute_block_t(table: Table, name: str) -> np.ndarray:
 
     Design assembly copies whole attribute blocks; doing it in the
     transposed layout turns strided column writes into contiguous row
-    memcpys, and the resulting Fortran-order ``W`` view is what LAPACK and
-    BLAS natively consume (``dgeqrf``'s ``overwrite_a`` only avoids its
-    internal copy for Fortran-contiguous input).
+    memcpys, and the resulting Fortran-order ``W`` view is what SciPy's
+    BLAS wrappers (the outcome residual's ``dgemv``) consume without a copy.
     """
     cache = table.__dict__.setdefault("_design_block_t_cache", {})
     block_t = cache.get(name)
@@ -232,129 +195,25 @@ def _build_design_block(table: Table, adjustment: tuple[str, ...]) -> np.ndarray
     return w_t.T
 
 
-def _rank_from_singular_values(
-    r_factor: np.ndarray, shape: tuple[int, int]
-) -> tuple[int, bool]:
-    """(rank, shaky) from the singular values of the triangular factor."""
-    s = np.linalg.svd(r_factor, compute_uv=False)
-    cutoff = max(shape) * np.finfo(np.float64).eps * s[0]
-    rank = int((s > cutoff).sum())
-    shaky = bool(((s > cutoff) & (s < CONDITION_MARGIN * cutoff)).any())
-    return rank, shaky
-
-
-def build_factorization(
-    table: Table, outcome: str, adjustment: tuple[str, ...] = ()
-) -> DesignFactorization:
-    """Factorize ``[1, Z-block]`` for one (table, adjustment, outcome) triple.
-
-    One thin QR per triple; every lattice level sharing the triple reuses
-    the result.  Rank and conditioning are certified on the small
-    triangular factor: a LAPACK ``dtrcon`` estimate fast-paths the
-    well-conditioned common case, and only suspicious designs pay an SVD of
-    ``R`` (whose singular values equal ``W``'s, so the rank cutoff matches
-    ``lstsq``'s rule).  Exactly-zero adjustment columns (one-hot categories
-    absent from the sub-table) deflate cleanly — they contribute nothing to
-    the basis and the rank, matching ``lstsq``'s treatment of them in the
-    scalar path.
-    """
-    y = _outcome_vector(table, outcome)
-    n = table.n_rows
-    if n == 0:
-        raise EstimationError("cannot factorize an empty design")
-    w = _build_design_block(table, adjustment)
-    n_cols = w.shape[1]
-
-    rank = n_cols
-    degenerate = False
-    if n_cols > n:  # wide design: trivially deficient
-        degenerate = True
-        q = np.empty((n, 0), dtype=np.float64)  # unused on the scalar path
-    else:
-        # Raw LAPACK spelling of scipy.linalg.qr(mode="economic"): same
-        # bits, none of the wrapper overhead — this runs ~1.4k times per
-        # German Table-4 mining run.  ``w`` is freshly assembled above and
-        # ``qr_t`` is ours, so both factorization steps may overwrite their
-        # inputs in place instead of paying an (n, k) copy each.
-        lwork = int(lapack.dgeqrf_lwork(n, n_cols)[0])
-        qr_t, tau, _, info = lapack.dgeqrf(w, lwork=lwork, overwrite_a=1)
-        if info != 0:  # pragma: no cover - LAPACK input errors
-            raise EstimationError(f"dgeqrf failed with info={info}")
-        r_factor = qr_t[:n_cols, :n_cols]  # sub-diagonal junk is ignored
-        diag = np.abs(r_factor.diagonal())
-        if diag.size and diag.min() == 0.0:
-            degenerate = True  # exactly singular; maybe just zero columns
-        else:
-            rcond = lapack.dtrcon(r_factor, norm="1", uplo="U", diag="N")[0]
-            if rcond < RCOND_FAST_PATH:
-                rank, shaky = _rank_from_singular_values(
-                    np.triu(r_factor), w.shape
-                )
-                degenerate = rank < n_cols or shaky
-        q, _, info = lapack.dorgqr(qr_t, tau, lwork=lwork, overwrite_a=1)
-        if info != 0:  # pragma: no cover - LAPACK input errors
-            raise EstimationError(f"dorgqr failed with info={info}")
-    if degenerate:
-        # Zero columns (absent one-hot categories) deflate cleanly: drop
-        # them and re-factorize; any other deficiency keeps the
-        # factorization degenerate and takes the scalar fallback per
-        # column.  The first QR consumed ``w`` in place (overwrite_a), so
-        # this rare branch reassembles it from the cached blocks.
-        w = _build_design_block(table, adjustment)
-        nonzero = np.abs(w).max(axis=0) > 0.0
-        if not nonzero.all():
-            reduced = np.ascontiguousarray(w[:, nonzero])
-            if reduced.shape[1] <= n:
-                q2, r2 = scipy_linalg.qr(
-                    reduced, mode="economic", overwrite_a=True, check_finite=False
-                )
-                rank, shaky = _rank_from_singular_values(r2, reduced.shape)
-                if rank == reduced.shape[1] and not shaky:
-                    q = q2
-                    degenerate = False
-
-    _count_route("qr_collinear" if degenerate else "qr")
-    if degenerate:
-        # Basis unused on the degenerate path; keep fields consistent.
-        rank = min(rank, q.shape[1])
-    q = q[:, :rank] if q.shape[1] != rank else q
-    # C-contiguous basis: LAPACK hands back Fortran order, under which the
-    # projection GEMM's per-column rounding depends on the column position;
-    # row-major Q keeps batch results bit-invariant under column
-    # permutation (the property the differential suite pins down).
-    q = np.ascontiguousarray(q)
-    y_res = y - q @ (q.T @ y)
-    return DesignFactorization(
-        q=q,
-        rank=rank,
-        y_res=y_res,
-        y_res_sq=float(y_res @ y_res),
-        n=n,
-        degenerate=degenerate,
-    )
-
-
 @dataclass(frozen=True)
 class GramFactorization:
     """Normal-equations factorization of ``W`` for the row-major kernel.
 
-    Holds the design block plus the inverse of its Gram matrix ``G = WᵀW``
-    (through its Cholesky factor): the FWL projection becomes
-    ``t̃ = t - (t W) G⁻¹ Wᵀ`` — the same two big GEMMs as the Q-based
-    spelling — but the *build* skips the Householder QR entirely, and on
-    the fast path never runs a syrk either: ``G``'s blocks are pairwise
-    products of per-attribute design blocks, which repeat across the many
-    adjustment sets of one table and are therefore memoised on the table
-    (:func:`_gram_pair`), so a typical build is a handful of tiny copies,
-    k×k LAPACK, and one assembly of ``W`` for the projection GEMMs.  That
-    setup cost is what dominates Step-2 mining once everything else is
-    batched.
+    Holds a basis of ``col(W)`` plus the inverse of its Gram matrix
+    ``G = WᵀW`` (through its Cholesky factor): the FWL projection becomes
+    ``t̃ = t - (t W) G⁻¹ Wᵀ``, two GEMMs.  The build never runs a syrk:
+    ``G``'s blocks are pairwise products of per-attribute design blocks,
+    which repeat across the many adjustment sets of one table and are
+    therefore memoised on the table (:func:`_gram_pair`), so a typical
+    build is a handful of tiny copies, k×k LAPACK, and one assembly of
+    ``W`` for the projection GEMMs.  That setup cost is what dominates
+    Step-2 mining once everything else is batched.
 
-    Only well-conditioned designs get here (see
-    :func:`build_rows_factorization`): anything whose Cholesky fails or
-    whose ``rcond`` falls under :data:`GRAM_RCOND_MIN` is routed to
-    :func:`build_factorization` — so degenerate handling, and its
-    bit-exact scalar fallback, stay byte-for-byte the QR path's.
+    A design the build rejects (see :func:`build_rows_factorization`)
+    yields the *degenerate marker*: ``degenerate=True``, rank 0 and empty
+    arrays.  Every column estimated against it takes the scalar ``ols()``
+    path, which defines its bits.  The marker is an instance rather than
+    ``None`` because the factorization caches read ``None`` as a miss.
     """
 
     w: np.ndarray  # (n, rank) basis columns of the design block
@@ -478,7 +337,7 @@ def _assemble_gram(
 
 
 def _finish_gram(gram):
-    """Cholesky + condition gate + mirrored inverse; None -> QR fallback."""
+    """Cholesky + condition gate + mirrored inverse; None -> degenerate."""
     r_factor, info = lapack.dpotrf(gram, lower=0)
     if info != 0:  # not positive definite: rank deficient
         return None
@@ -538,9 +397,23 @@ def _spanning_columns(
     return np.flatnonzero(present)
 
 
+def _degenerate_marker(n: int) -> GramFactorization:
+    """The factorization of a design the Gram build rejects."""
+    _count_route("degenerate")
+    return GramFactorization(
+        w=np.empty((n, 0)),
+        gram_inv=np.empty((0, 0)),
+        rank=0,
+        y_res=np.empty(0),
+        y_res_sq=0.0,
+        n=n,
+        degenerate=True,
+    )
+
+
 def build_rows_factorization(
     table: Table, outcome: str, adjustment: tuple[str, ...] = ()
-):
+) -> GramFactorization:
     """Factorize ``[1, Z-block]`` for the fused row-major kernel.
 
     Block-structured Gram/Cholesky (:class:`GramFactorization`) from
@@ -551,10 +424,10 @@ def build_rows_factorization(
     is absent, the block's first present column are dropped by
     subselecting the Gram (route ``gram_reduced``).  The basis spans the
     same ``col(W)``, so the FWL residuals, and the rank behind the dof
-    ``n - rank - 1``, are the scalar path's.  Any design still wider than
-    its table, or rejected by the Cholesky or the condition gate, falls
-    back to the QR build, whose :class:`DesignFactorization` the kernel
-    consumes interchangeably.
+    ``n - rank - 1``, are the scalar path's.  A design still wider than its
+    table, or rejected by the Cholesky or the condition gate, yields the
+    degenerate marker (route ``degenerate``) before ``W`` or ``Wᵀy`` is
+    assembled; the kernel answers its columns through the scalar path.
     """
     n = table.n_rows
     if n == 0:
@@ -576,7 +449,7 @@ def build_rows_factorization(
     gram = _assemble_gram(table, adjustment, widths, k)
     keep = _spanning_columns(gram, widths, categorical)
     if keep.size > n:
-        return build_factorization(table, outcome, adjustment)
+        return _degenerate_marker(n)
     reduced = keep.size < k
     if reduced:
         # Subselecting the assembled Gram *is* the reduced design's Gram
@@ -586,7 +459,7 @@ def build_rows_factorization(
         gram = np.ascontiguousarray(gram[np.ix_(keep, keep)])
     gram_inv = _finish_gram(gram)
     if gram_inv is None:
-        return build_factorization(table, outcome, adjustment)
+        return _degenerate_marker(n)
     w = _build_design_block(table, adjustment)
     wy = _outcome_products(table, outcome, adjustment, widths, k)
     if reduced:
@@ -621,8 +494,7 @@ def estimate_level_rows(
     stack — the layout packed bitsets unpack into for free
     (:func:`repro.mining.bitsets.unpack_rows`) — so every per-candidate
     reduction runs over a contiguous row and the projection GEMM pair is
-    ``T W`` then ``- (T W G⁻¹) Wᵀ`` (or ``T Q`` then ``- (T Q) Qᵀ`` on the
-    QR route).  Rows may use different adjustment sets
+    ``T W`` then ``- (T W G⁻¹) Wᵀ``.  Rows may use different adjustment sets
     (``adjustments[j]`` belongs to row ``j``); rows sharing a set form one
     FWL group and ride the same GEMM pair.
 
@@ -641,11 +513,11 @@ def estimate_level_rows(
     Exactness: results agree with the scalar
     :meth:`~repro.causal.estimators.LinearAdjustmentEstimator.estimate` to
     working precision (rtol 1e-9, differentially tested); the positivity
-    screen, degenerate designs and the identity guards take the scalar
-    ``ols()`` path and match it bit for bit.  Per-row bits are a pure
-    function of the batch content, so a level's results never depend on
-    which other grouping patterns were mined before it or by which worker
-    (serial ≡ process at any chunking).
+    screen, designs the Gram build marks degenerate and the identity
+    guards take the scalar ``ols()`` path and match it bit for bit.
+    Per-row bits are a pure function of the batch content, so a level's
+    results never depend on which other grouping patterns were mined before
+    it or by which worker (serial ≡ process at any chunking).
     """
     treated_rows = np.asarray(treated_rows, dtype=bool)
     if treated_rows.ndim != 2:
@@ -723,12 +595,8 @@ def estimate_level_rows(
             # The transposed GEMM pair: project out col(W) row-wise, then the
             # contiguous-row reductions (einsum stays off BLAS; each row's sum
             # is a pure function of that row).
-            if isinstance(factorization, GramFactorization):
-                projected = (t_rows @ factorization.w) @ factorization.gram_inv
-                t_res = t_rows - projected @ factorization.w.T
-            else:
-                q = factorization.q
-                t_res = t_rows - (t_rows @ q) @ q.T
+            projected = (t_rows @ factorization.w) @ factorization.gram_inv
+            t_res = t_rows - projected @ factorization.w.T
             tt_parts.append(np.einsum("ij,ij->i", t_res, t_res))
             ty_parts.append(np.einsum("ij,j->i", t_res, factorization.y_res))
             act_cols.extend(cols)

@@ -25,8 +25,8 @@ Sharded mining must be bit-for-bit the in-RAM engine (differential suite:
   the pieces — ``concat(codes_s[mask_s]) == codes[mask]`` element for
   element, and the category dictionaries are the global ones — so the
   sub-table is *content-identical* to what ``Table.filter`` yields, and
-  every downstream estimation path (Gram fast path, QR fallback, caches,
-  checkpoints) runs the same code on the same bytes.
+  every downstream estimation path (Gram factorization, scalar fallback,
+  caches, checkpoints) runs the same code on the same bytes.
 
 Float sufficient statistics (shard-merged Gram pairs / column sums /
 outcome products, dispatched in :mod:`repro.causal.batch`) accumulate in

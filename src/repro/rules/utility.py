@@ -724,8 +724,10 @@ class RuleEvaluator:
 
         With an :class:`EstimationCache` attached, factorizations live in
         its dedicated store (:meth:`EstimationCache.get_or_factorize_rows`);
-        without one, this small evaluator-local LRU still amortises the
-        factorization across the lattice levels of each context.
+        without one, this small evaluator-local memo still amortises the
+        factorization across the lattice levels of each context.  It holds
+        at most 512 entries and evicts in insertion (FIFO) order; a hit
+        does not refresh an entry.
         """
         from repro.causal import batch
 

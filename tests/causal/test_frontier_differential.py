@@ -32,7 +32,6 @@ import pytest
 
 from tests.conftest import build_toy_dag, build_toy_table
 from repro.causal.batch import (
-    DesignFactorization,
     GramFactorization,
     build_rows_factorization,
     estimate_level_rows,
@@ -114,15 +113,46 @@ def test_rows_kernel_shared_float_and_counts(rng):
     assert_results_close(shared, plain, exact=True)
 
 
-def test_rows_kernel_degenerate_design_exact(rng):
-    """A design wider than its table: scalar fallback, bit-identical."""
+def _wider_than_table(rng):
+    """12 rows against 13 design columns (11 dummies, ``x``, intercept)."""
     n = 12
-    z = np.array([f"c{i}" for i in range(n)], dtype=object)  # n-1 dummies + 1
-    table = Table({"z": z, "x": rng.normal(size=n), "y": rng.normal(size=n)})
-    factorization = build_rows_factorization(table, "y", ("z", "x"))
-    assert isinstance(factorization, DesignFactorization)
+    z = np.array([f"c{i}" for i in range(n)], dtype=object)
+    return Table({"z": z, "x": rng.normal(size=n), "y": rng.normal(size=n)})
+
+
+def _badly_scaled(rng):
+    """Full rank, but ``x`` sits at a credit amount's scale: its mean and
+    spread dwarf the one-hot columns, and the Gram fails the condition
+    gate."""
+    n = 400
+    return Table(
+        {
+            "z": rng.choice(["a", "b", "c"], size=n).astype(object),
+            "x": rng.normal(3000.0, 2000.0, size=n),
+            "y": rng.normal(size=n),
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_wider_than_table, _badly_scaled],
+    ids=["wider-than-table", "badly-scaled"],
+)
+def test_rows_kernel_degenerate_design_exact(rng, case):
+    """A design the Gram build rejects is marked degenerate, and every
+    column takes the scalar fallback, bit-identical."""
+    from repro.obs import telemetry_session
+
+    table = case(rng)
+    with telemetry_session(enabled=True) as telemetry:
+        factorization = build_rows_factorization(table, "y", ("z", "x"))
+    routes = telemetry.registry.snapshot()["counters"][
+        "estimation.factorizations"
+    ]["values"]
+    assert routes == {"route=degenerate": 1.0}
     assert factorization.degenerate
-    rows = random_rows(rng, 5, n)
+    rows = random_rows(rng, 5, table.n_rows)
     adjustments = [("z", "x")] * 5
     got = estimate_level_rows(table, rows, "y", adjustments)
     want = scalar_reference(table, rows, "y", adjustments)
@@ -187,8 +217,8 @@ def _wide_before_reduction(rng):
 def test_gram_factorization_drops_absent_reference_levels(rng, case):
     """A categorical block with no row at its dropped reference level sums
     to the intercept; the Gram route drops the block's first present column
-    (col(W) is unchanged) instead of sending the design to the QR build and
-    every column to the scalar fallback."""
+    (col(W) is unchanged) instead of marking the design degenerate and
+    sending every column to the scalar fallback."""
     from repro.obs import telemetry_session
 
     sub, adjustment, rank = case(rng)

@@ -18,8 +18,8 @@ Also pinned here:
 - the absent-category route (an exactly-zero design column, or a
   categorical block with no row at its reference level) builds its
   reduced Gram by subselecting the assembled block Gram — no materialised
-  re-accumulation — agrees with the QR reference factorization of the
-  same col(W), and is bit-for-bit the in-RAM build off a shard store.
+  re-accumulation — agrees with an explicit ``lstsq`` fit of the same
+  design, and is bit-for-bit the in-RAM build off a shard store.
 """
 
 from __future__ import annotations
@@ -211,13 +211,11 @@ def test_full_grid_sharded_oracle_smoke():
 
 # -- absent-category routing pin ---------------------------------------------------
 
-#: (City level kept, adjustment whose QR build spans the same col(W)).
-#: Keeping the reference level ``Metro`` leaves Rural's one-hot column all
-#: zero, which the QR build deflates too.  Keeping ``Rural`` leaves the
-#: reference level absent: Rural's column equals the intercept, which the
-#: QR build treats as collinear, so its reference is the adjustment-free
-#: design with the same col(W).
-ABSENT_LEVEL_CASES = (("Metro", ("City",)), ("Rural", ()))
+#: The City level each sub-table keeps.  Keeping the reference level
+#: ``Metro`` leaves Rural's one-hot column all zero; keeping ``Rural``
+#: leaves the reference level absent, so Rural's column equals the
+#: intercept.  Either way ``col(W)`` is the intercept's span: rank 1.
+ABSENT_LEVELS = ("Metro", "Rural")
 
 
 def _absent_category_subtable(table, level):
@@ -227,13 +225,13 @@ def _absent_category_subtable(table, level):
 
 def test_absent_category_routes_through_reduced_gram():
     """A zero-column or absent-reference design takes the block-Gram
-    subselection route (no materialised slow rebuild, no QR build) and the
-    route counter pins it."""
+    subselection route (no materialised slow rebuild, no degenerate marker)
+    and the route counter pins it."""
     from repro.causal.batch import GramFactorization, build_rows_factorization
     from repro.obs import telemetry_session
 
     table = build_toy_table(n=400, seed=3)
-    for level, _ in ABSENT_LEVEL_CASES:
+    for level in ABSENT_LEVELS:
         sub = _absent_category_subtable(table, level)
         with telemetry_session(enabled=True) as telemetry:
             factorization = build_rows_factorization(sub, "Income", ("City",))
@@ -244,24 +242,36 @@ def test_absent_category_routes_through_reduced_gram():
         assert isinstance(factorization, GramFactorization)
 
 
-def test_reduced_gram_matches_qr_reference():
-    """Differential pin: the subselected-Gram factorization agrees with the
-    QR reference build on a design spanning the same col(W)."""
-    from repro.causal.batch import build_factorization, build_rows_factorization
+def _lstsq_reference(table):
+    """``(y_res, y_res_sq, rank)`` of Income on the explicit design
+    ``[1, one-hot(City)]`` (reference level dropped), fitted by ``lstsq``,
+    which handles a zero column and one equal to the intercept alike."""
+    city = table.column("City")
+    design = np.column_stack(
+        [np.ones(table.n_rows)]
+        + [city.decode() == level for level in city.categories[1:]]
+    ).astype(np.float64)
+    y = table.column("Income").decode()
+    coefficients, *_ = np.linalg.lstsq(design, y, rcond=None)
+    y_res = y - design @ coefficients
+    return y_res, float(y_res @ y_res), int(np.linalg.matrix_rank(design))
+
+
+def test_reduced_gram_matches_lstsq_reference():
+    """Differential pin: the subselected-Gram factorization agrees with a
+    least-squares fit of the full design."""
+    from repro.causal.batch import build_rows_factorization
 
     table = build_toy_table(n=400, seed=3)
-    for level, reference_adjustment in ABSENT_LEVEL_CASES:
+    for level in ABSENT_LEVELS:
         sub = _absent_category_subtable(table, level)
         gram = build_rows_factorization(sub, "Income", ("City",))
-        reference = build_factorization(sub, "Income", reference_adjustment)
-        assert not reference.degenerate
-        assert gram.n == reference.n
+        y_res, y_res_sq, rank = _lstsq_reference(sub)
+        assert gram.n == sub.n_rows
         # One categorical with one present level: intercept only survives.
-        assert gram.rank == reference.rank == 1
-        np.testing.assert_allclose(
-            gram.y_res, reference.y_res, rtol=1e-9, atol=1e-9
-        )
-        np.testing.assert_allclose(gram.y_res_sq, reference.y_res_sq, rtol=1e-9)
+        assert gram.rank == rank == 1
+        np.testing.assert_allclose(gram.y_res, y_res, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(gram.y_res_sq, y_res_sq, rtol=1e-9)
 
 
 def _assert_same_factorization(got, want) -> None:
@@ -272,17 +282,17 @@ def _assert_same_factorization(got, want) -> None:
     np.testing.assert_array_equal(got.y_res, want.y_res)
 
 
-def test_reduced_gram_matches_qr_reference_sharded(tmp_path):
+def test_reduced_gram_matches_lstsq_reference_sharded(tmp_path):
     """Same pin with the parent table out of core: the context gather off
     the shard store feeds the identical reduced-Gram build, bit for bit, and
     a store whose root lacks the level decides the reduction on
     shard-merged counts."""
-    from repro.causal.batch import build_factorization, build_rows_factorization
+    from repro.causal.batch import build_rows_factorization
     from repro.datasets.sharded import ShardedTable
 
     table = build_toy_table(n=400, seed=3)
     store = ShardedTable.write(table, str(tmp_path / "store"), 73)
-    for level, reference_adjustment in ABSENT_LEVEL_CASES:
+    for level in ABSENT_LEVELS:
         sub = store.filter(store.column("City").decode() == level)
         in_ram = _absent_category_subtable(table, level)
         assert sub.fingerprint() == in_ram.fingerprint()
@@ -290,11 +300,9 @@ def test_reduced_gram_matches_qr_reference_sharded(tmp_path):
         _assert_same_factorization(
             gram, build_rows_factorization(in_ram, "Income", ("City",))
         )
-        reference = build_factorization(in_ram, "Income", reference_adjustment)
-        assert gram.rank == reference.rank
-        np.testing.assert_allclose(
-            gram.y_res, reference.y_res, rtol=1e-9, atol=1e-9
-        )
+        y_res, _, rank = _lstsq_reference(in_ram)
+        assert gram.rank == rank
+        np.testing.assert_allclose(gram.y_res, y_res, rtol=1e-9, atol=1e-9)
         # Shard-merged Gram entries are exact integer counts: the same
         # columns survive and the inverse matches bit for bit; the outcome
         # products are shard-order float sums (rtol, as for any root).
