@@ -28,9 +28,13 @@ minimum-norm least-squares solution is the unique functional
 ``t̃ᵀ/(t̃·t̃)`` and ``(XᵀX)⁺_tt = 1/(t̃·t̃)`` — exactly what the scalar path
 reads off ``pinv``.
 
-:class:`GramFactorization` (block-assembled normal equations) captures
-``G⁻¹`` for that basis, its rank and the residualised outcome — computed
-once per (table, adjustment, outcome) and cacheable (see
+Every design of one table shares one statistic (:class:`_Moments`): the
+augmented design ``A = [1, Z_U, y]`` over *every* non-outcome column ``U``
+of the table and its moment matrix ``M = AᵀA``, one GEMM per (table,
+outcome).  A design's normal equations are then index work on ``M`` and
+``A``: :class:`GramFactorization` captures ``G⁻¹`` for a basis of
+``col(W)``, its rank and the residualised outcome — computed once per
+(table, adjustment, outcome) and cacheable (see
 :class:`~repro.parallel.cache.EstimationCache`) — or marks the design
 degenerate.  :func:`estimate_level_rows` residualises a whole lattice level
 — an ``(m, n)`` row stack of treated masks, grouped by adjustment set — in
@@ -80,12 +84,10 @@ from repro.causal.estimators import (
     LinearAdjustmentEstimator,
     _outcome_vector,
 )
-from repro.causal.linalg import one_hot
 from repro.obs.runtime import current as obs_current
 from repro.tabular.column import CategoricalColumn
-from repro.tabular.schema import AttributeKind
 from repro.tabular.table import Table
-from repro.utils.errors import EstimationError
+from repro.utils.errors import EstimationError, SchemaError
 
 # Guard thresholds for the scalar fallback (see module docstring).
 RESIDUAL_TOL = 1e-10  # ‖t̃‖²/‖t‖² below this -> t ∈ col(W) numerically
@@ -143,71 +145,18 @@ def _count_degenerate_fits(kernel: str, count: int) -> None:
             telemetry.registry.inc("estimation.degenerate_fits", count, kernel=kernel)
 
 
-def _attribute_block(table: Table, name: str) -> np.ndarray:
-    """Encoded design columns of one adjustment attribute, memoised per table.
-
-    Same encoding as :func:`repro.causal.estimators._encode_adjustment`:
-    categoricals one-hot with the first category dropped, continuous as-is.
-    The same attribute appears in many adjustment sets of one sub-table
-    (every treatment whose backdoor set contains it), so the block rides on
-    the immutable table like its fingerprint does.
-    """
-    cache = table.__dict__.setdefault("_design_block_cache", {})
-    block = cache.get(name)
-    if block is None:
-        column = table.column(name)
-        if isinstance(column, CategoricalColumn):
-            block = one_hot(column.codes, len(column.categories))
-        else:
-            block = column.decode().reshape(-1, 1).astype(np.float64, copy=False)
-        cache[name] = block
-    return block
-
-
-def _attribute_block_t(table: Table, name: str) -> np.ndarray:
-    """C-contiguous transpose of :func:`_attribute_block`, memoised too.
-
-    Design assembly copies whole attribute blocks; doing it in the
-    transposed layout turns strided column writes into contiguous row
-    memcpys, and the resulting Fortran-order ``W`` view is what SciPy's
-    BLAS wrappers (the outcome residual's ``dgemv``) consume without a copy.
-    """
-    cache = table.__dict__.setdefault("_design_block_t_cache", {})
-    block_t = cache.get(name)
-    if block_t is None:
-        block_t = np.ascontiguousarray(_attribute_block(table, name).T)
-        cache[name] = block_t
-    return block_t
-
-
-def _build_design_block(table: Table, adjustment: tuple[str, ...]) -> np.ndarray:
-    """Assemble ``W = [1, Z-block]`` (Fortran order) from cached blocks."""
-    n = table.n_rows
-    blocks_t = [_attribute_block_t(table, name) for name in adjustment]
-    total = 1 + sum(block.shape[0] for block in blocks_t)
-    w_t = np.empty((total, n), dtype=np.float64)
-    w_t[0] = 1.0
-    offset = 1
-    for block in blocks_t:
-        width = block.shape[0]
-        w_t[offset : offset + width] = block
-        offset += width
-    return w_t.T
-
-
 @dataclass(frozen=True)
 class GramFactorization:
     """Normal-equations factorization of ``W`` for the row-major kernel.
 
     Holds a basis of ``col(W)`` plus the inverse of its Gram matrix
     ``G = WᵀW`` (through its Cholesky factor): the FWL projection becomes
-    ``t̃ = t - (t W) G⁻¹ Wᵀ``, two GEMMs.  The build never runs a syrk:
-    ``G``'s blocks are pairwise products of per-attribute design blocks,
-    which repeat across the many adjustment sets of one table and are
-    therefore memoised on the table (:func:`_gram_pair`), so a typical
-    build is a handful of tiny copies, k×k LAPACK, and one assembly of
-    ``W`` for the projection GEMMs.  That setup cost is what dominates
-    Step-2 mining once everything else is batched.
+    ``t̃ = t - (t W) G⁻¹ Wᵀ``, two GEMMs.  The build multiplies nothing
+    over the table's rows: ``G``, ``Wᵀy`` and ``W`` itself are index
+    subselections of the table's :class:`_Moments`, built once per (table,
+    outcome), so a build is index work, k×k LAPACK and one ``dgemv`` for
+    the outcome residual.  That setup cost is what dominates Step-2 mining
+    once everything else is batched.
 
     A design the build rejects (see :func:`build_rows_factorization`)
     yields the *degenerate marker*: ``degenerate=True``, rank 0 and empty
@@ -225,8 +174,76 @@ class GramFactorization:
     degenerate: bool = False
 
 
-def _gram_cache(table: Table) -> dict:
-    return table.__dict__.setdefault("_gram_block_cache", {})
+@dataclass(frozen=True)
+class _Moments:
+    """The augmented design of one (table, outcome) and its moment matrix.
+
+    ``rows`` is ``Aᵀ`` for the design ``A = [1, Z_U, y]`` (C-contiguous,
+    one design column per row): the intercept, then the encoded block of
+    *every* column except the outcome, in table column order, then the
+    outcome.  The encoding is
+    :func:`repro.causal.estimators._encode_adjustment`'s: categoricals
+    one-hot with the first category dropped, continuous as-is.
+    ``moments`` is ``M = AᵀA``, one GEMM.  ``spans`` maps each column name,
+    the outcome included, to its range of rows, and ``basis`` flags the
+    rows a basis of ``col(W)`` keeps (:func:`_basis_rows`).
+
+    ``U`` is fixed by the table alone, never by which designs were asked
+    for first: factorizations are cached by table content and shared
+    across contexts, so a design's bits must not depend on cache state.
+    """
+
+    rows: np.ndarray
+    moments: np.ndarray
+    spans: dict[str, tuple[int, int]]
+    basis: np.ndarray
+
+
+def _augmented_rows(table: Table, outcome: str):
+    """``Aᵀ`` (the ``rows`` of :class:`_Moments`), ``spans`` and the blocks.
+
+    Reading the outcome first validates it on every design.  The blocks
+    are the categorical row ranges; a one-category column's range is
+    empty and left out.
+    """
+    y = _outcome_vector(table, outcome)
+    n = table.n_rows
+    spans: dict[str, tuple[int, int]] = {}
+    blocks: list[tuple[int, int]] = []
+    codes, continuous = [], []
+    start = 1
+    for spec in table.schema:
+        if spec.name == outcome:
+            continue
+        column = table.column(spec.name)
+        if isinstance(column, CategoricalColumn):
+            stop = start + len(column.categories) - 1
+            if stop > start:
+                blocks.append((start, stop))
+                codes.append(column.codes)
+        else:
+            stop = start + 1
+            continuous.append((start, column.decode()))
+        spans[spec.name] = (start, stop)
+        start = stop
+    spans[outcome] = (start, start + 1)
+    rows = np.zeros((start + 1, n))
+    rows[0] = 1.0
+    rows[start] = y
+    for row, values in continuous:
+        rows[row] = values
+    if blocks:
+        # Code c >= 1 sets row first + c - 1; code 0 is the reference.
+        codes = np.stack(codes)
+        flat = (np.asarray(blocks)[:, :1] - 1 + codes) * n + np.arange(n)
+        rows.reshape(-1)[flat[codes > 0]] = 1.0
+    return rows, spans, blocks
+
+
+def _moment_matrix(table: Table, outcome: str) -> np.ndarray:
+    """``M`` of one in-RAM table (a shard)."""
+    rows = _augmented_rows(table, outcome)[0]
+    return rows @ rows.T
 
 
 def _merge_shard_arrays(table, stat) -> np.ndarray:
@@ -234,7 +251,7 @@ def _merge_shard_arrays(table, stat) -> np.ndarray:
 
     The accumulation order is the fixed shard order, so the result is
     deterministic for a given shard layout regardless of who computes it
-    (serial, thread, or process workers).  One-hot cross products and column sums
+    (serial, thread, or process workers).  Intercept and one-hot entries
     are integer-valued, so their merge is *exact*; continuous entries are
     shard-order-deterministic floating sums.
     """
@@ -249,91 +266,58 @@ def _merge_shard_arrays(table, stat) -> np.ndarray:
     return total
 
 
-def _block_column_sums(table: Table, name: str) -> np.ndarray:
-    """Column sums of one attribute's design block (= its ``1ᵀ block`` row)."""
-    cache = _gram_cache(table)
-    key = ("sums", name)
-    sums = cache.get(key)
-    if sums is None:
-        if getattr(table, "is_sharded", False):
-            sums = _merge_shard_arrays(
-                table, lambda shard: _block_column_sums(shard, name)
-            )
-        else:
-            sums = _attribute_block(table, name).sum(axis=0)
-        cache[key] = sums
-    return sums
+def _basis_rows(moments: np.ndarray, blocks: list[tuple[int, int]]) -> np.ndarray:
+    """Columns of ``A`` that a basis of ``col(W)`` keeps, in every design.
 
+    Decided on the exact integer counts ``M`` holds (one-hot column sums
+    are in the intercept row, one-hot diagonals are counts), so no
+    rounding enters the choice.  Each column is decided from its own block
+    alone, so the table-wide mask restricted to a design's columns is that
+    design's basis.  Two structural deficiencies deflate:
 
-def _gram_pair(table: Table, a: str, b: str) -> np.ndarray:
-    """``block(a)ᵀ block(b)``, memoised per table under the sorted pair."""
-    cache = _gram_cache(table)
-    first, second = (a, b) if a <= b else (b, a)
-    key = ("pair", first, second)
-    product = cache.get(key)
-    if product is None:
-        if getattr(table, "is_sharded", False):
-            product = _merge_shard_arrays(
-                table, lambda shard: _gram_pair(shard, first, second)
-            )
-        else:
-            product = (
-                _attribute_block(table, first).T @ _attribute_block(table, second)
-            )
-        cache[key] = product
-    return product if (a, b) == (first, second) else product.T
+    - an exactly-zero column (a one-hot category absent from the table)
+      has a zero diagonal entry and spans nothing;
+    - a categorical block whose column counts sum to the row count has no
+      row at its dropped reference level, so its present columns sum to
+      the intercept; dropping the block's first present column leaves
+      ``col(W)`` unchanged.
 
-
-def _outcome_block_products(table: Table, outcome: str, name: str) -> np.ndarray:
-    """``yᵀ block(name)``, memoised per (outcome, attribute) per table."""
-    cache = _gram_cache(table)
-    key = ("y", outcome, name)
-    product = cache.get(key)
-    if product is None:
-        if getattr(table, "is_sharded", False):
-            product = _merge_shard_arrays(
-                table, lambda shard: _outcome_block_products(shard, outcome, name)
-            )
-        else:
-            product = _outcome_vector(table, outcome) @ _attribute_block(table, name)
-        cache[key] = product
-    return product
-
-
-def _outcome_sum(table: Table, outcome: str) -> float:
-    """``yᵀ1`` (the outcome's intercept component), memoised per table."""
-    cache = _gram_cache(table)
-    key = ("ysum", outcome)
-    total = cache.get(key)
-    if total is None:
-        if getattr(table, "is_sharded", False):
-            total = 0.0
-            for shard in table.iter_shards():
-                total += _outcome_sum(shard, outcome)
-        else:
-            total = float(_outcome_vector(table, outcome).sum())
-        cache[key] = total
-    return total
-
-
-def _assemble_gram(
-    table: Table, adjustment: tuple[str, ...], widths: list[int], k: int
-) -> np.ndarray:
-    """Assemble the upper triangle of ``G = WᵀW`` from memoised products.
-
-    The strict lower triangle is left zero — dpotrf/dpotri only read the
-    upper, and the mirror step after dpotri relies on zeros below.
+    Anything else (e.g. two attributes that coincide on this table) is
+    left for the Cholesky and condition gate to reject.
     """
-    gram = np.zeros((k, k))
-    gram[0, 0] = float(table.n_rows)
-    offsets = np.cumsum([1] + widths).tolist()
-    for i, name in enumerate(adjustment):
-        gram[0, offsets[i] : offsets[i + 1]] = _block_column_sums(table, name)
-        for j in range(i, len(adjustment)):
-            gram[
-                offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]
-            ] = _gram_pair(table, name, adjustment[j])
-    return gram
+    basis = moments.diagonal() > 0.0  # the intercept's entry is n > 0
+    if blocks:
+        # Block sums sit at the even positions.  ``blocks`` holds no empty
+        # block: reduceat over an empty range returns the next element.
+        bounds = np.asarray(blocks)
+        sums = np.add.reduceat(moments[0], bounds.ravel())[::2]
+        for start, stop in bounds[sums == moments[0, 0]].tolist():
+            basis[start + int(np.argmax(basis[start:stop]))] = False
+    return basis
+
+
+def _table_moments(table: Table, outcome: str) -> _Moments:
+    """The table's :class:`_Moments` for ``outcome``, memoised on the table.
+
+    For a sharded table ``M`` is the shard-order sum of the shards' own
+    ``M``: its integer entries are bit-identical to the in-RAM build.
+    ``A`` still spans all of the table's rows, but no mining path
+    factorizes a sharded table (context sub-tables are in-RAM gathers), so
+    only direct callers pay for it.
+    """
+    memo = table.__dict__.setdefault("_moments_cache", {})
+    stats = memo.get(outcome)
+    if stats is None:
+        rows, spans, blocks = _augmented_rows(table, outcome)
+        if getattr(table, "is_sharded", False):
+            moments = _merge_shard_arrays(
+                table, lambda shard: _moment_matrix(shard, outcome)
+            )
+        else:
+            moments = rows @ rows.T
+        stats = _Moments(rows, moments, spans, _basis_rows(moments, blocks))
+        memo[outcome] = stats
+    return stats
 
 
 def _finish_gram(gram):
@@ -347,54 +331,12 @@ def _finish_gram(gram):
     gram_inv, info = lapack.dpotri(r_factor, lower=0)
     if info != 0:  # pragma: no cover - dpotri after a clean dpotrf
         return None
-    # dpotri fills the upper triangle only (the strict lower is still the
-    # zeros left there); mirror without np.triu's mask machinery.
+    # dpotri fills the upper triangle only (dpotrf zeroed the strict
+    # lower); mirror without np.triu's mask machinery.
     diagonal_inv = gram_inv.diagonal().copy()
     gram_inv = gram_inv + gram_inv.T
     np.fill_diagonal(gram_inv, diagonal_inv)
     return gram_inv
-
-
-def _outcome_products(
-    table: Table, outcome: str, adjustment: tuple[str, ...], widths: list[int], k: int
-) -> np.ndarray:
-    """``Wᵀy`` assembled from the memoised per-attribute products."""
-    wy = np.empty(k)
-    wy[0] = _outcome_sum(table, outcome)
-    offset = 1
-    for name, width in zip(adjustment, widths):
-        wy[offset : offset + width] = _outcome_block_products(table, outcome, name)
-        offset += width
-    return wy
-
-
-def _spanning_columns(
-    gram: np.ndarray, widths: list[int], categorical: list[bool]
-) -> np.ndarray:
-    """Indices of the design columns that form a basis of ``col(W)``.
-
-    Decided on the exact integer counts the assembled Gram already holds
-    (one-hot column sums are row 0, one-hot diagonals are counts), so no
-    rounding enters the choice.  Two structural deficiencies deflate:
-
-    - an exactly-zero column (a one-hot category absent from the table)
-      has a zero diagonal entry and spans nothing;
-    - a categorical block whose column counts sum to the row count has no
-      row at its dropped reference level, so its present columns sum to
-      the intercept; dropping the block's first present column leaves
-      ``col(W)`` unchanged.
-
-    Anything else (e.g. two attributes that coincide on this table) is
-    left for the Cholesky and condition gate to reject.
-    """
-    present = gram.diagonal() > 0.0  # the intercept's entry is n > 0
-    offset = 1
-    for width, is_categorical in zip(widths, categorical):
-        block = slice(offset, offset + width)
-        if is_categorical and gram[0, block].sum() == gram[0, 0]:
-            present[offset + int(np.argmax(present[block]))] = False
-        offset += width
-    return np.flatnonzero(present)
 
 
 def _degenerate_marker(n: int) -> GramFactorization:
@@ -416,59 +358,49 @@ def build_rows_factorization(
 ) -> GramFactorization:
     """Factorize ``[1, Z-block]`` for the fused row-major kernel.
 
-    Block-structured Gram/Cholesky (:class:`GramFactorization`) from
-    per-table memoised pair products, no syrk over ``W``.  Before the
-    width test and the Cholesky, :func:`_spanning_columns` picks a basis of
-    ``col(W)`` from the Gram's exact counts: exactly-zero columns (absent
-    one-hot categories) and, per categorical block whose reference level
-    is absent, the block's first present column are dropped by
-    subselecting the Gram (route ``gram_reduced``).  The basis spans the
-    same ``col(W)``, so the FWL residuals, and the rank behind the dof
-    ``n - rank - 1``, are the scalar path's.  A design still wider than its
-    table, or rejected by the Cholesky or the condition gate, yields the
-    degenerate marker (route ``degenerate``) before ``W`` or ``Wᵀy`` is
-    assembled; the kernel answers its columns through the scalar path.
+    Index work on the table's :class:`_Moments`: the design's columns are
+    the intercept plus each adjustment attribute's columns of ``A``, in
+    adjustment order (the outcome, passed as an adjuster, is ``A``'s ``y``
+    column).  The build keeps those in the table's basis mask
+    (:func:`_basis_rows`): exactly-zero columns (absent one-hot
+    categories) and, per categorical block whose reference level is
+    absent, the block's first present column are dropped (route
+    ``gram_reduced``).  The basis spans the same ``col(W)``, so the FWL
+    residuals, and the rank behind the dof ``n - rank - 1``, are the
+    scalar path's.  Then ``G = M[keep][:, keep]``, ``Wᵀy = M[keep, y]``
+    and ``W = A[:, keep]``.  A design still wider than its table, or
+    rejected by the Cholesky or the condition gate, yields the degenerate
+    marker (route ``degenerate``); the kernel answers its columns through
+    the scalar path.
     """
     n = table.n_rows
     if n == 0:
         raise EstimationError("cannot factorize an empty design")
-    categorical = [
-        table.schema.spec(name).kind is AttributeKind.CATEGORICAL
-        for name in adjustment
-    ]
-    if getattr(table, "is_sharded", False):
-        # Widths come off the schema: no whole-table block materialisation
-        # for out-of-core tables (their Gram entries merge from shards).
-        widths = [
-            len(table.categories(name)) - 1 if is_categorical else 1
-            for name, is_categorical in zip(adjustment, categorical)
-        ]
-    else:
-        widths = [_attribute_block(table, name).shape[1] for name in adjustment]
-    k = 1 + sum(widths)
-    gram = _assemble_gram(table, adjustment, widths, k)
-    keep = _spanning_columns(gram, widths, categorical)
+    stats = _table_moments(table, outcome)
+    cols = [0]
+    for name in adjustment:
+        span = stats.spans.get(name)
+        if span is None:
+            raise SchemaError(f"unknown attribute {name!r}")
+        cols.extend(range(*span))
+    cols = np.array(cols)
+    keep = cols[stats.basis[cols]]
     if keep.size > n:
         return _degenerate_marker(n)
-    reduced = keep.size < k
-    if reduced:
-        # Subselecting the assembled Gram *is* the reduced design's Gram
-        # (built from the same memoised, or for out-of-core tables
-        # shard-merged, pair products); sorted index subselection keeps
-        # the upper-triangular/zero-lower layout ``_finish_gram`` needs.
-        gram = np.ascontiguousarray(gram[np.ix_(keep, keep)])
-    gram_inv = _finish_gram(gram)
+    gram_inv = _finish_gram(stats.moments[keep[:, None], keep])
     if gram_inv is None:
         return _degenerate_marker(n)
-    w = _build_design_block(table, adjustment)
-    wy = _outcome_products(table, outcome, adjustment, widths, k)
-    if reduced:
-        w = np.ascontiguousarray(w[:, keep])
-        wy = wy[keep]
-    y = _outcome_vector(table, outcome)
+    w = stats.rows[keep].T
     # One fused GEMV: y_res = y - W (G^-1 Wᵀy), accumulated in place.
-    y_res = blas.dgemv(-1.0, w, gram_inv @ wy, beta=1.0, y=y.copy(), overwrite_y=1)
-    _count_route("gram_reduced" if reduced else "gram")
+    y_res = blas.dgemv(
+        -1.0,
+        w,
+        gram_inv @ stats.moments[keep, -1],
+        beta=1.0,
+        y=stats.rows[-1].copy(),
+        overwrite_y=1,
+    )
+    _count_route("gram_reduced" if keep.size < cols.size else "gram")
     return GramFactorization(
         w=w,
         gram_inv=gram_inv,

@@ -7,8 +7,11 @@ code paths touch — ``n_rows`` / ``schema`` / ``column_names`` /
 ``fingerprint`` / ``mask_cache`` / ``filter`` / ``column`` — while keeping
 peak memory bounded by **O(shard + sufficient statistics)**: at most a
 couple of shard-sized chunks are resident at a time, plus packed bitset
-words (``n/8`` bytes per cached predicate) and the merged design-block
-statistics of :mod:`repro.causal.batch`.
+words (``n/8`` bytes per cached predicate).  A direct
+:func:`~repro.causal.batch.build_rows_factorization` call on the handle
+also holds the merged moment matrix and a whole-table ``(K+2) × n``
+design buffer; no mining path makes that call, because context sub-tables
+are in-RAM gathers (:meth:`ShardedTable.filter`).
 
 Bit-identity contract
 ---------------------
@@ -28,11 +31,12 @@ Sharded mining must be bit-for-bit the in-RAM engine (differential suite:
   every downstream estimation path (Gram factorization, scalar fallback,
   caches, checkpoints) runs the same code on the same bytes.
 
-Float sufficient statistics (shard-merged Gram pairs / column sums /
-outcome products, dispatched in :mod:`repro.causal.batch`) accumulate in
-fixed shard order: integer-valued entries (one-hot cross counts) merge
-exactly; continuous entries are deterministic for a given shard layout,
-whichever executor computes them.
+The one float statistic merged across shards is the estimation engine's
+moment matrix ``M = AᵀA`` (:mod:`repro.causal.batch`), summed over the
+shards' own ``M`` in fixed shard order: its intercept and one-hot entries
+are integer counts and merge exactly; its continuous and outcome entries
+are deterministic for a given shard layout, whichever executor computes
+them.
 """
 
 from __future__ import annotations

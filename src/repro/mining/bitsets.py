@@ -7,7 +7,7 @@ exactly the structure frequent-pattern miners exploit with per-item bitsets
 module packs boolean row masks into ``uint64`` words so that
 
 - each atomic predicate is evaluated against a table **once** and cached on
-  the (immutable) table instance, like its fingerprint and design blocks;
+  the (immutable) table instance, like its fingerprint and moment matrix;
 - a level-k candidate's mask is the bitwise AND of its items' words — 64
   rows per instruction instead of re-evaluating every predicate per
   candidate;
@@ -192,7 +192,7 @@ def predicate_bitset(table, predicate) -> np.ndarray:
     every candidate pattern containing it afterwards pays one AND over
     ``n/64`` words.  The cache rides on the immutable table's ``__dict__``
     exactly like :meth:`repro.tabular.table.Table.fingerprint` and the
-    per-attribute design blocks of :mod:`repro.causal.batch` do.
+    per-table moment matrix of :mod:`repro.causal.batch` do.
     """
     cache = table.__dict__.setdefault("_predicate_bitset_cache", {})
     words = cache.get(predicate)

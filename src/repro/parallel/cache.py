@@ -110,10 +110,9 @@ class EstimationCache:
         self._new: dict[CacheKey, object] | None = None
         # Design factorizations (repro.causal.batch) live in a sibling LRU:
         # they are derived data — recomputable from the table — and carry an
-        # (n x k) design block or orthonormal basis each, so they are
-        # deliberately excluded from snapshot()/seed() (process workers
-        # rebuild their own rather than paying to ship dense bases across
-        # the pool).
+        # (n x k) design block each, so they are deliberately excluded from
+        # snapshot()/seed() (process workers rebuild their own rather than
+        # paying to ship dense blocks across the pool).
         self._factorizations: OrderedDict[CacheKey, object] = OrderedDict()
         self.max_factorizations = max(1, min(self.max_entries, 512))
 

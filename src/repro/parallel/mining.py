@@ -76,10 +76,9 @@ def _build_state(payload: dict) -> _MiningState:
     (``payload["caller_pid"]`` matches): there it must not install a
     worker telemetry session (that would clobber the caller's live one).
 
-    Each worker builds its design blocks and Gram products on the
-    sub-tables it mines, exactly as the serial loop does: every context
-    estimates on its own sub-table, so nothing built on the caller's root
-    table would be read.
+    Each worker builds the moment matrices of the sub-tables it mines,
+    exactly as the serial loop does: every context estimates on its own
+    sub-table, so nothing built on the caller's root table would be read.
     """
     from repro.rules.utility import RuleEvaluator
 

@@ -14,6 +14,11 @@ This file is the contract:
   duplicated attribute) takes the scalar path inside the batch engine and
   matches it bit for bit, while absent one-hot categories and absent
   reference levels stay on the Gram route at rtol 1e-9;
+- the table-wide basis mask of the moment-matrix build: its edge cases
+  (a one-category column, constant and all-zero continuous adjusters, the
+  outcome as an adjuster, no categorical column), bit-identical results
+  whatever order designs are requested in, and exact inverses of
+  all-categorical Grams;
 - property tests: batch-of-one ≡ scalar, candidate-permutation invariance,
   FWL affine equivariance of the batched estimates, mixed-adjustment levels
   ≡ one call per adjustment group;
@@ -43,7 +48,9 @@ from repro.core.config import FairCapConfig
 from repro.core.faircap import FairCap
 from repro.mining.patterns import Pattern
 from repro.rules.protected import ProtectedGroup
+from repro.tabular.column import CategoricalColumn
 from repro.tabular.table import Table
+from repro.utils.errors import EstimationError, SchemaError
 from repro.utils.rng import ensure_rng
 
 RTOL = 1e-9
@@ -185,6 +192,129 @@ def test_positivity_and_small_batches(rng):
         want = ESTIMATOR.estimate(table, masks[:, j], "Income", ("City",))
         assert_cate_close(batch[j], want, exact=exact)
     assert not batch[0].valid and not batch[1].valid and batch[2].valid
+
+
+# -- the per-table basis: edge cases, purity, exactness -----------------------
+
+
+def _edge_table(case: str) -> Table:
+    """The table of one :data:`BASIS_EDGE_CASES` case."""
+    rng = ensure_rng(17)
+    n = 240
+    if case == "no-categorical":
+        return Table(
+            {"x": rng.normal(size=n), "v": rng.uniform(size=n), "y": rng.normal(size=n)}
+        )
+    table = Table(
+        {
+            # Every row at z's first non-reference level: its counts sum to
+            # n with the reference level absent.
+            "z": CategoricalColumn(np.ones(n, dtype=np.int32), ("b", "c", "r")),
+            "one": np.array(["u"] * n, dtype=object),  # an empty one-hot block
+            "x": np.tile([0.5, 1.5], n // 2),  # sums to n, right after it
+            "w": rng.choice(["p", "q", "s"], size=n).astype(object),
+            "y": rng.normal(size=n),
+        }
+    )
+    if case == "constant-continuous":
+        return table.with_column("x", np.full(n, 3.0))
+    if case == "zero-continuous":
+        return table.with_column("x", np.zeros(n))
+    return table
+
+
+#: case -> (adjustment, factorization route)
+BASIS_EDGE_CASES = {
+    "one-category-outside": (("z", "x", "w"), "gram_reduced"),
+    "one-category-inside": (("z", "one", "x", "w"), "gram_reduced"),
+    "constant-continuous": (("w", "x"), "degenerate"),
+    "zero-continuous": (("w", "x"), "gram_reduced"),
+    "outcome-as-adjuster": (("w", "y"), "gram"),
+    "no-categorical": (("x", "v"), "gram"),
+}
+
+
+@pytest.mark.parametrize("case", list(BASIS_EDGE_CASES))
+def test_basis_edge_cases(case):
+    """Each edge of the table-wide basis mask takes its route and matches
+    the scalar path."""
+    from repro.obs import telemetry_session
+
+    table = _edge_table(case)
+    adjustment, route = BASIS_EDGE_CASES[case]
+    masks = random_masks(ensure_rng(5), table.n_rows, 6)
+    with telemetry_session(enabled=True) as telemetry:
+        assert_batch_matches_scalar(table, masks, "y", adjustment)
+    routes = telemetry.registry.snapshot()["counters"]["estimation.factorizations"]
+    assert routes["values"] == {f"route={route}": 1.0}
+
+
+def test_basis_is_a_pure_function_of_table_content():
+    """Content-identical sub-tables from ``filter`` and ``take`` factorize
+    bit-identically, whichever designs were requested first."""
+    rng = ensure_rng(23)
+    n = 300
+    parent = Table(
+        {
+            "z": rng.choice(["a", "b", "c", "d"], size=n).astype(object),
+            "x": rng.lognormal(0.0, 2.0, size=n),
+            "w": rng.choice(["p", "q"], size=n).astype(object),
+            "v": rng.normal(5.0, 2.0, size=n),
+            "y": rng.normal(size=n),
+        }
+    )
+    rows = rng.random(n) < 0.5
+    filtered = parent.filter(rows)
+    taken = parent.take(np.flatnonzero(rows))
+    assert filtered.fingerprint() == taken.fingerprint()
+    designs = [("v",), ("z", "x"), ("w", "v", "z"), (), ("x", "w")]
+    first = {a: build_rows_factorization(filtered, "y", a) for a in designs}
+    second = {a: build_rows_factorization(taken, "y", a) for a in designs[::-1]}
+    for adjustment in designs:
+        for field in ("gram_inv", "w", "y_res"):
+            np.testing.assert_array_equal(
+                getattr(first[adjustment], field), getattr(second[adjustment], field)
+            )
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["gram", "gram_reduced"])
+def test_categorical_gram_inverse_is_exact(reduced):
+    """On an all-categorical design ``gram_inv`` is dpotrf/dpotri of the
+    explicit ``WᵀW``, bit for bit: every entry is an integer count."""
+    from scipy.linalg import lapack
+
+    table = build_toy_table(n=400, seed=3)
+    if reduced:  # City's reference level absent: its block drops a column
+        table = table.filter(table.values("City") == "Rural")
+    factorization = build_rows_factorization(
+        table, "Income", ("Gender", "City", "Training")
+    )
+    assert factorization.rank == (3 if reduced else 4)
+    w = factorization.w
+    r_factor, info = lapack.dpotrf(w.T @ w, lower=0)
+    assert info == 0
+    upper, info = lapack.dpotri(r_factor, lower=0)
+    assert info == 0
+    expected = np.triu(upper) + np.triu(upper, 1).T
+    np.testing.assert_array_equal(factorization.gram_inv, expected)
+
+
+@pytest.mark.parametrize(
+    "adjustment", [(), ("a", "b")], ids=["intercept-only", "wider-than-table"]
+)
+def test_categorical_outcome_rejected_on_every_design(adjustment):
+    """The outcome is validated before any gate, so a design the width test
+    rejects raises too instead of returning the degenerate marker."""
+    levels = [f"l{i:02d}" for i in range(12)]
+    table = Table({"a": levels, "b": levels[::-1], "o": ["yes", "no"] * 6})
+    with pytest.raises(EstimationError, match="must be continuous"):
+        build_rows_factorization(table, "o", adjustment)
+
+
+def test_unknown_adjustment_raises_schema_error():
+    table = build_toy_table(n=50, seed=1)
+    with pytest.raises(SchemaError, match="Region"):
+        build_rows_factorization(table, "Income", ("City", "Region"))
 
 
 # -- property tests ------------------------------------------------------------

@@ -8,7 +8,8 @@ must equal the whole-table value:
 
 - packed bitset words merge exactly (``predicate_words`` ≡ ``pack_mask``
   of the in-RAM mask, bit for bit);
-- one-hot design-block Grams and column sums merge exactly (integer cross
+- the intercept and one-hot entries of the estimation engine's moment
+  matrix ``M`` (Grams and column sums) merge exactly (integer cross
   products, so float64 accumulation is lossless);
 - continuous sufficient statistics are shard-order-deterministic and agree
   with the whole-table value to float rounding;
@@ -227,42 +228,39 @@ def test_concat_packed_matches_pack_mask(rng, lengths):
 # -- merged sufficient statistics --------------------------------------------------
 
 
+def moment_matrix(table) -> np.ndarray:
+    """The moment matrix ``M = AᵀA`` of ``table`` for the ``Outcome`` column."""
+    return batch._table_moments(table, "Outcome").moments
+
+
 def test_fuzzed_boundaries_merge_grams_and_sums_exactly(rng, tmp_path):
-    """One-hot Grams and column sums are integer counts: merges are exact."""
+    """Intercept and one-hot entries of ``M`` (the Grams and column sums)
+    are integer counts: the shard merge is exact."""
     table = build_rare_table()
-    names = ("Level", "Group", "Treat")
+    want = moment_matrix(table)
+    # Every non-outcome column is categorical: all but the outcome's row
+    # and column of M are counts.
+    counts = slice(0, want.shape[0] - 1)
     for shard_rows in fuzzed_shard_sizes(rng, table.n_rows, draws=4):
         store = open_store(table, tmp_path / f"g{shard_rows}", shard_rows)
-        for name in names:
-            np.testing.assert_array_equal(
-                batch._block_column_sums(store, name),
-                batch._block_column_sums(table, name),
-            )
-        for a in names:
-            for b in names:
-                np.testing.assert_array_equal(
-                    batch._gram_pair(store, a, b), batch._gram_pair(table, a, b)
-                )
+        got = moment_matrix(store)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got[counts, counts], want[counts, counts])
 
 
 def test_continuous_stats_are_shard_order_deterministic(tmp_path):
-    """Outcome sums merge in fixed shard order: reopening reproduces the
-    bits, and the value agrees with the whole-table reduction to rounding."""
-    table = build_rare_table()
+    """Continuous and outcome entries of ``M`` merge in fixed shard order:
+    reopening reproduces the bits, and the values agree with the
+    whole-table reduction to rounding."""
+    base = build_rare_table()
+    table = base.with_column("Score", np.linspace(0.5, 2.0, base.n_rows) ** 2)
     first = open_store(table, tmp_path / "y", 5)
     again = ShardedTable.open(str(tmp_path / "y"))
-    ysum_first = batch._outcome_sum(first, "Outcome")
-    assert ysum_first == batch._outcome_sum(again, "Outcome")
-    assert ysum_first == pytest.approx(batch._outcome_sum(table, "Outcome"), rel=1e-12)
-    products_first = batch._outcome_block_products(first, "Outcome", "Level")
-    np.testing.assert_array_equal(
-        products_first, batch._outcome_block_products(again, "Outcome", "Level")
-    )
-    np.testing.assert_allclose(
-        products_first,
-        batch._outcome_block_products(table, "Outcome", "Level"),
-        rtol=1e-12,
-    )
+    score = batch._table_moments(table, "Outcome").spans["Score"][0]
+    floats = [score, -1]  # the Score row and the outcome row
+    merged = moment_matrix(first)[floats]
+    np.testing.assert_array_equal(merged, moment_matrix(again)[floats])
+    np.testing.assert_allclose(merged, moment_matrix(table)[floats], rtol=1e-12)
 
 
 def test_factorization_on_sharded_root_matches_in_ram(tmp_path):

@@ -17,7 +17,7 @@ Also pinned here:
   world mines to a bit-identical ruleset out of core);
 - the absent-category route (an exactly-zero design column, or a
   categorical block with no row at its reference level) builds its
-  reduced Gram by subselecting the assembled block Gram — no materialised
+  reduced Gram by subselecting the table's moment matrix — no materialised
   re-accumulation — agrees with an explicit ``lstsq`` fit of the same
   design, and is bit-for-bit the in-RAM build off a shard store.
 """
@@ -224,7 +224,7 @@ def _absent_category_subtable(table, level):
 
 
 def test_absent_category_routes_through_reduced_gram():
-    """A zero-column or absent-reference design takes the block-Gram
+    """A zero-column or absent-reference design takes the reduced-Gram
     subselection route (no materialised slow rebuild, no degenerate marker)
     and the route counter pins it."""
     from repro.causal.batch import GramFactorization, build_rows_factorization
