@@ -1,11 +1,14 @@
 """Causal-inference substrate (S3-S6).
 
 Implements the slice of Pearl's graphical-model machinery that FairCap needs
-(the paper delegates this to the DoWhy library):
+(the paper delegates this to the DoWhy library) on plain Python: the graph
+code depends on no graph library.
 
-- :mod:`~repro.causal.dag` — causal DAGs over attribute names,
+- :mod:`~repro.causal.dag` — causal DAGs over attribute names, with every
+  node's parents, children, ancestors and descendants held as ``int``
+  bitmasks,
 - :mod:`~repro.causal.dseparation` — d-separation via moralized ancestral
-  graphs,
+  graphs, run as a bitmask search,
 - :mod:`~repro.causal.backdoor` — backdoor adjustment-set selection,
 - :mod:`~repro.causal.estimators` — CATE estimation by linear adjustment and
   by exact stratification, with significance tests,

@@ -17,17 +17,37 @@ the classic recipe:
    orientation that would create a cycle.  (A CPDAG represents an
    equivalence class; FairCap needs one member, and the evaluation of
    Table 6 shows results are robust to this choice.)
+
+Both graphs are plain insertion-ordered adjacency dicts (``node ->
+{neighbour: None}``, a dict used as an ordered set).  The skeleton is
+symmetric, and its edges are read as ``(earlier column, later column)``;
+the mixed graph of steps 2-4 holds an undirected edge as a pair of
+anti-parallel arcs and an oriented edge as a single arc.  Insertion order
+fixes the order in which edges are tested and Meek's rules fire, so the
+discovered DAG, edge order included, is a function of the table alone.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import networkx as nx
+from typing import Iterator
 
 from repro.causal.dag import CausalDAG
 from repro.causal.independence import CITester
 from repro.tabular.table import Table
+
+#: ``node -> {neighbour: None}``: insertion-ordered adjacency.
+_Adjacency = dict[str, dict[str, None]]
+
+
+def _undirected_edges(skeleton: _Adjacency) -> Iterator[tuple[str, str]]:
+    """Each skeleton edge once, as ``(earlier node, later node)``."""
+    seen: set[str] = set()
+    for x, neighbours in skeleton.items():
+        for y in neighbours:
+            if y not in seen:
+                yield x, y
+        seen.add(x)
 
 
 def pc_skeleton(
@@ -35,26 +55,27 @@ def pc_skeleton(
     alpha: float = 0.05,
     max_cond_size: int = 2,
     tester: CITester | None = None,
-) -> tuple[nx.Graph, dict[frozenset[str], tuple[str, ...]]]:
+) -> tuple[_Adjacency, dict[frozenset[str], tuple[str, ...]]]:
     """Estimate the undirected skeleton and separating sets.
 
     Returns
     -------
     (skeleton, sepsets):
-        ``skeleton`` is an undirected :class:`networkx.Graph`; ``sepsets``
-        maps each removed pair (as a frozenset) to the conditioning set that
-        separated it.
+        ``skeleton`` maps every column to its neighbours (``x`` and ``y``
+        are adjacent iff ``y in skeleton[x]``, and then ``x in
+        skeleton[y]``); ``sepsets`` maps each removed pair (as a frozenset)
+        to the conditioning set that separated it.
     """
     tester = tester if tester is not None else CITester(table)
     nodes = list(table.column_names)
-    graph = nx.complete_graph(nodes)
+    graph: _Adjacency = {x: {y: None for y in nodes if y != x} for x in nodes}
     sepsets: dict[frozenset[str], tuple[str, ...]] = {}
 
     for level in range(max_cond_size + 1):
         removed_any = False
         # Snapshot edges: removal during iteration must not affect the loop.
-        for x, y in sorted(graph.edges()):
-            neighbours = set(graph.neighbors(x)) - {y}
+        for x, y in sorted(_undirected_edges(graph)):
+            neighbours = set(graph[x]) - {y}
             if len(neighbours) < level:
                 continue
             separated = False
@@ -64,7 +85,8 @@ def pc_skeleton(
                     separated = True
                     break
             if separated:
-                graph.remove_edge(x, y)
+                del graph[x][y]
+                del graph[y][x]
                 removed_any = True
         if not removed_any and level > 0:
             break
@@ -72,83 +94,100 @@ def pc_skeleton(
 
 
 def _orient_v_structures(
-    skeleton: nx.Graph, sepsets: dict[frozenset[str], tuple[str, ...]]
-) -> nx.DiGraph:
-    """Return a mixed graph holding the v-structure orientations.
-
-    The result is encoded as a DiGraph in which an undirected edge appears as
-    a pair of anti-parallel arcs and an oriented edge as a single arc.
-    """
-    mixed = nx.DiGraph()
-    mixed.add_nodes_from(skeleton.nodes())
-    for x, y in skeleton.edges():
-        mixed.add_edge(x, y)
-        mixed.add_edge(y, x)
-    for z in sorted(skeleton.nodes()):
-        for x, y in combinations(sorted(skeleton.neighbors(z)), 2):
-            if skeleton.has_edge(x, y):
+    skeleton: _Adjacency, sepsets: dict[frozenset[str], tuple[str, ...]]
+) -> _Adjacency:
+    """Return the mixed graph holding the v-structure orientations."""
+    mixed: _Adjacency = {node: {} for node in skeleton}
+    for x, y in _undirected_edges(skeleton):
+        mixed[x][y] = None
+        mixed[y][x] = None
+    for z in sorted(skeleton):
+        for x, y in combinations(sorted(skeleton[z]), 2):
+            if y in skeleton[x]:
                 continue  # shielded triple
             sepset = sepsets.get(frozenset((x, y)), ())
             if z not in sepset:
                 # x -> z <- y : drop the arcs pointing away from z.
-                if mixed.has_edge(z, x) and mixed.has_edge(x, z):
-                    mixed.remove_edge(z, x)
-                if mixed.has_edge(z, y) and mixed.has_edge(y, z):
-                    mixed.remove_edge(z, y)
+                if _is_undirected(mixed, z, x):
+                    del mixed[z][x]
+                if _is_undirected(mixed, z, y):
+                    del mixed[z][y]
     return mixed
 
 
-def _is_undirected(mixed: nx.DiGraph, a: str, b: str) -> bool:
-    return mixed.has_edge(a, b) and mixed.has_edge(b, a)
+def _arcs(mixed: _Adjacency) -> Iterator[tuple[str, str]]:
+    for a, heads in mixed.items():
+        for b in heads:
+            yield a, b
 
 
-def _is_directed(mixed: nx.DiGraph, a: str, b: str) -> bool:
-    return mixed.has_edge(a, b) and not mixed.has_edge(b, a)
+def _adjacent(mixed: _Adjacency, a: str, b: str) -> bool:
+    return b in mixed[a] or a in mixed[b]
 
 
-def _apply_meek_rules(mixed: nx.DiGraph) -> None:
+def _is_undirected(mixed: _Adjacency, a: str, b: str) -> bool:
+    return b in mixed[a] and a in mixed[b]
+
+
+def _is_directed(mixed: _Adjacency, a: str, b: str) -> bool:
+    return b in mixed[a] and a not in mixed[b]
+
+
+def _apply_meek_rules(mixed: _Adjacency) -> None:
     """Apply Meek orientation rules 1-3 until fixpoint (in place)."""
     changed = True
     while changed:
         changed = False
         undirected = [
             (a, b)
-            for a, b in mixed.edges()
+            for a, b in _arcs(mixed)
             if a < b and _is_undirected(mixed, a, b)
         ]
         for a, b in undirected:
             for first, second in ((a, b), (b, a)):
                 # Rule 1: c -> first, c and second non-adjacent => first -> second.
                 rule1 = any(
-                    _is_directed(mixed, c, first)
-                    and not mixed.has_edge(c, second)
-                    and not mixed.has_edge(second, c)
-                    for c in mixed.predecessors(first)
+                    _is_directed(mixed, c, first) and not _adjacent(mixed, c, second)
+                    for c in mixed
                 )
                 # Rule 2: first -> c -> second => first -> second.
                 rule2 = any(
                     _is_directed(mixed, first, c) and _is_directed(mixed, c, second)
-                    for c in mixed.successors(first)
+                    for c in mixed[first]
                 )
                 # Rule 3: first - c -> second and first - d -> second with
                 # c, d non-adjacent => first -> second.
                 parents_of_second = [
                     c
-                    for c in mixed.predecessors(second)
+                    for c in mixed
                     if _is_directed(mixed, c, second) and _is_undirected(mixed, first, c)
                 ]
                 rule3 = any(
-                    not mixed.has_edge(c, d) and not mixed.has_edge(d, c)
+                    not _adjacent(mixed, c, d)
                     for c, d in combinations(sorted(parents_of_second), 2)
                 )
                 if rule1 or rule2 or rule3:
-                    if mixed.has_edge(second, first):
-                        mixed.remove_edge(second, first)
+                    if first in mixed[second]:
+                        del mixed[second][first]
                         changed = True
                     break
 
 
-def _extend_to_dag(mixed: nx.DiGraph, outcome: str | None) -> nx.DiGraph:
+def _reaches(succ: dict[str, list[str]], source: str, target: str) -> bool:
+    """Whether a directed path ``source -> ... -> target`` exists in ``succ``."""
+    stack, seen = [source], {source}
+    while stack:
+        node = stack.pop()
+        if node == target:
+            return True
+        for nxt in succ[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _extend_to_dag(mixed: _Adjacency, outcome: str | None) -> CausalDAG:
     """Orient remaining undirected edges into a DAG (deterministic heuristic).
 
     With imperfect CI tests the v-structure phase can produce *conflicting*
@@ -156,32 +195,31 @@ def _extend_to_dag(mixed: nx.DiGraph, outcome: str | None) -> nx.DiGraph:
     is applied here: pre-oriented edges are admitted one at a time (sorted,
     so deterministically) and any edge that would close a cycle is dropped.
     """
-    result = nx.DiGraph()
-    result.add_nodes_from(mixed.nodes())
+    succ: dict[str, list[str]] = {node: [] for node in mixed}
+
+    def admit(u: str, v: str) -> bool:
+        # The graph is acyclic, so u -> v closes a cycle iff v reaches u.
+        if _reaches(succ, v, u):
+            return False
+        succ[u].append(v)
+        return True
+
     for a, b in sorted(
-        (a, b) for a, b in mixed.edges() if _is_directed(mixed, a, b)
+        (a, b) for a, b in _arcs(mixed) if _is_directed(mixed, a, b)
     ):
-        result.add_edge(a, b)
-        if not nx.is_directed_acyclic_graph(result):
-            result.remove_edge(a, b)
+        admit(a, b)
     pending = sorted(
-        {tuple(sorted((a, b))) for a, b in mixed.edges() if _is_undirected(mixed, a, b)}
+        {tuple(sorted((a, b))) for a, b in _arcs(mixed) if _is_undirected(mixed, a, b)}
     )
     for a, b in pending:
-        if outcome is not None and b == outcome:
-            first_choice, second_choice = (a, b), (b, a)
-        elif outcome is not None and a == outcome:
-            first_choice, second_choice = (b, a), (a, b)
-        else:
-            first_choice, second_choice = (a, b), (b, a)
-        for u, v in (first_choice, second_choice):
-            result.add_edge(u, v)
-            if nx.is_directed_acyclic_graph(result):
-                break
-            result.remove_edge(u, v)
-        else:  # pragma: no cover - both directions cycle; drop the edge
-            continue
-    return result
+        # Point into the outcome, otherwise from the smaller name; in an
+        # acyclic graph at most one of the two orientations closes a cycle.
+        u, v = (b, a) if a == outcome else (a, b)
+        if not admit(u, v):
+            admit(v, u)
+    return CausalDAG(
+        edges=[(u, v) for u, heads in succ.items() for v in heads], nodes=succ
+    )
 
 
 def pc_dag(
@@ -210,5 +248,4 @@ def pc_dag(
     )
     mixed = _orient_v_structures(skeleton, sepsets)
     _apply_meek_rules(mixed)
-    dag = _extend_to_dag(mixed, outcome)
-    return CausalDAG(edges=dag.edges(), nodes=dag.nodes())
+    return _extend_to_dag(mixed, outcome)

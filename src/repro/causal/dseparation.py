@@ -8,25 +8,22 @@ Given disjoint node sets ``X``, ``Y``, ``Z``:
 3. delete ``Z``; ``X`` and ``Y`` are d-separated given ``Z`` iff no undirected
    path connects a node of ``X`` to a node of ``Y``.
 
-This classical reduction is easy to verify and has no dependency on the
-networkx version in use.
+The test runs on the bitmasks :class:`~repro.causal.dag.CausalDAG` computes
+at construction: the closure is an OR of ancestor masks, and the search
+grows a reached set from ``X`` one moral-graph neighbourhood at a time, so
+the moral graph is never materialised.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-import networkx as nx
-
+from repro.causal.dag import CausalDAG, _bits
 from repro.utils.errors import SchemaError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.causal.dag import CausalDAG
 
 
 def d_separated(
-    dag: "CausalDAG",
+    dag: CausalDAG,
     xs: Iterable[str],
     ys: Iterable[str],
     zs: Iterable[str] = (),
@@ -55,35 +52,29 @@ def d_separated(
         raise SchemaError(f"X and Y overlap: {sorted(x_set & y_set)}")
     if (x_set | y_set) & z_set:
         raise SchemaError("conditioning set Z must be disjoint from X and Y")
-    graph = dag.networkx_view()  # read-only: never mutated below
-    for node in x_set | y_set | z_set:
-        if node not in graph:
-            raise SchemaError(f"node {node!r} not in causal DAG")
+    x, y, z = dag._mask(x_set), dag._mask(y_set), dag._mask(z_set)
+    parents, children = dag._parents, dag._children
 
     # Step 1: ancestral closure of X ∪ Y ∪ Z.
-    relevant = set(x_set | y_set | z_set)
-    for node in list(relevant):
-        relevant |= nx.ancestors(graph, node)
-    sub = graph.subgraph(relevant)
+    seeds = closure = x | y | z
+    for i in _bits(seeds):
+        closure |= dag._ancestors[i]
 
-    # Step 2: moralize.
-    moral = nx.Graph()
-    moral.add_nodes_from(sub.nodes())
-    moral.add_edges_from(sub.edges())
-    for child in sub.nodes():
-        for p1, p2 in combinations(sorted(sub.predecessors(child)), 2):
-            moral.add_edge(p1, p2)
-
-    # Step 3: remove Z and look for connectivity.
-    moral.remove_nodes_from(z_set)
-    seen = set()
-    frontier = [n for n in x_set if n in moral]
+    # Steps 2-3: search the moral graph of the closure, minus Z, from X.
+    # A node's moral neighbours are its parents (inside the closure, which
+    # is ancestral), its children inside the closure, and those children's
+    # other parents -- a child in Z still marries its parents.
+    allowed = closure & ~z
+    reached = frontier = x
     while frontier:
-        node = frontier.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if node in y_set:
+        step = 0
+        for i in _bits(frontier):
+            kids = children[i] & closure
+            step |= parents[i] | kids
+            for c in _bits(kids):
+                step |= parents[c]
+        frontier = step & allowed & ~reached
+        if frontier & y:
             return False
-        frontier.extend(nbr for nbr in moral.neighbors(node) if nbr not in seen)
+        reached |= frontier
     return True

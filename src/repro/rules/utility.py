@@ -652,6 +652,9 @@ class RuleEvaluator:
             try:
                 adjustment = backdoor_adjustment_set(self.dag, key, self.outcome)
             except EstimationError:
+                # A DAG that lacks the outcome or a treatment is an error.
+                if any(node not in self.dag for node in (self.outcome, *key)):
+                    raise
                 # Compound treatments whose constituents influence each
                 # other's parents have no strict backdoor set; fall back to
                 # the practical parents-union adjustment (see backdoor.py).

@@ -1,5 +1,7 @@
 """Tests for repro.causal.dag."""
 
+import pickle
+
 import pytest
 
 from repro.causal.dag import CausalDAG
@@ -81,9 +83,11 @@ def test_restricted_to(chain):
         chain.restricted_to(["ghost"])
 
 
-def test_networkx_roundtrip(chain):
-    clone = CausalDAG.from_networkx(chain.to_networkx())
+def test_pickle_roundtrip(chain):
+    clone = pickle.loads(pickle.dumps(chain))
     assert clone == chain
+    assert clone.edges == chain.edges
+    assert clone.descendants("a") == {"b", "c"}
 
 
 def test_equality():

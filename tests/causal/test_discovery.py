@@ -1,8 +1,10 @@
 """Tests for the PC causal-discovery algorithm."""
 
 import numpy as np
+import pytest
 
 from repro.causal.discovery import pc_dag, pc_skeleton
+from repro.experiments.settings import ExperimentSettings
 from repro.tabular.table import Table
 from repro.utils.rng import ensure_rng
 
@@ -28,18 +30,18 @@ def chain_table(n=6000, seed=1):
 def test_skeleton_recovers_chain():
     table = chain_table()
     skeleton, sepsets = pc_skeleton(table, alpha=0.01)
-    assert skeleton.has_edge("a", "b")
-    assert skeleton.has_edge("b", "c")
-    assert not skeleton.has_edge("a", "c")
+    assert "b" in skeleton["a"]
+    assert "c" in skeleton["b"]
+    assert "c" not in skeleton["a"]
     assert sepsets[frozenset(("a", "c"))] == ("b",)
 
 
 def test_skeleton_recovers_collider_structure():
     table = collider_table()
     skeleton, __ = pc_skeleton(table, alpha=0.01)
-    assert skeleton.has_edge("x", "c")
-    assert skeleton.has_edge("y", "c")
-    assert not skeleton.has_edge("x", "y")
+    assert "c" in skeleton["x"]
+    assert "c" in skeleton["y"]
+    assert "y" not in skeleton["x"]
 
 
 def test_v_structure_oriented():
@@ -81,13 +83,57 @@ def test_categorical_discovery():
          "y": [f"y{v}" for v in y]}
     )
     skeleton, __ = pc_skeleton(table, alpha=0.01)
-    assert skeleton.has_edge("x", "z")
-    assert skeleton.has_edge("y", "z")
-    assert not skeleton.has_edge("x", "y")
+    assert "z" in skeleton["x"]
+    assert "z" in skeleton["y"]
+    assert "y" not in skeleton["x"]
 
 
 def test_max_cond_size_zero():
     table = chain_table()
     skeleton, __ = pc_skeleton(table, alpha=0.01, max_cond_size=0)
     # Without conditioning, a-c cannot be separated in a chain.
-    assert skeleton.has_edge("a", "c")
+    assert "c" in skeleton["a"]
+
+
+def test_skeleton_is_symmetric_adjacency():
+    skeleton, __ = pc_skeleton(collider_table(), alpha=0.01)
+    assert list(skeleton) == ["x", "y", "c", "d"]
+    for x, neighbours in skeleton.items():
+        for y in neighbours:
+            assert x in skeleton[y]
+
+
+#: ``pc_dag(...).edges`` on Table 6's PC input at the smoke-test scale
+#: (1,200 rows, seed 3, a 600-row sample, alpha 0.01, conditioning sets of
+#: size <= 1), as the networkx-based implementation returned them.
+TABLE6_PC_EDGES = {
+    "german": (
+        ("Age", "Employment"), ("Age", "YearsInHousing"),
+        ("Dependents", "PersonalStatus"), ("CheckingAccount", "CreditRisk"),
+        ("CheckingAccount", "Job"), ("CreditAmount", "Duration"),
+        ("CreditAmount", "Purpose"), ("Housing", "CreditRisk"),
+        ("Property", "Housing"), ("OtherDebtors", "SavingsAccount"),
+        ("Telephone", "Job"),
+    ),
+    "stackoverflow": (
+        ("Age", "Education"), ("Age", "Dependents"), ("Age", "Student"),
+        ("Age", "YearsCoding"), ("Country", "Salary"), ("Country", "Ethnicity"),
+        ("Country", "GDP"), ("UndergradMajor", "Education"),
+        ("UndergradMajor", "Salary"), ("HoursComputer", "Salary"),
+        ("PrimaryLanguage", "Role"), ("CompanySize", "Salary"),
+        ("Salary", "Education"), ("Salary", "Role"),
+    ),
+}
+
+
+@pytest.mark.parametrize("dataset", sorted(TABLE6_PC_EDGES))
+def test_table6_pc_dag_pinned(dataset):
+    """The input ``run_table6(dataset, TINY, pc_sample_rows=600)`` builds."""
+    settings = ExperimentSettings(so_n=1_200, german_n=1_200, seed=3)
+    bundle = settings.load(dataset)
+    sample = bundle.table.sample_fraction(
+        600 / bundle.table.n_rows, rng=settings.seed
+    )
+    dag = pc_dag(sample, outcome=bundle.outcome, alpha=0.01, max_cond_size=1)
+    assert dag.nodes == tuple(bundle.table.column_names)
+    assert dag.edges == TABLE6_PC_EDGES[dataset]

@@ -3,8 +3,10 @@
 ``repro serve`` answers from a compiled rule index and never estimates a
 CATE, so its process must not load SciPy, networkx or the estimation
 subpackages; no process needs ``scipy.stats`` (p-values come from
-``scipy.special`` kernels) or ``multiprocessing.shared_memory`` (every
-process builds its own design blocks).  ``repro`` and ``repro.rules``
+``scipy.special`` kernels), networkx (the causal DAG is an in-repo bitmask
+kernel; networkx is the tests' reference only) or
+``multiprocessing.shared_memory`` (every process builds its own design
+blocks).  ``repro`` and ``repro.rules``
 resolve their re-exports on first access (PEP 562), so the public import
 surface stays exactly what it was.
 
@@ -146,8 +148,8 @@ def test_serve_process_loads_no_estimation_stack(tmp_path):
 
 
 @pytest.mark.slow
-def test_mining_process_loads_no_scipy_stats_or_shared_memory():
-    forbidden = ("scipy.stats", "multiprocessing.shared_memory")
+def test_mining_process_loads_no_scipy_stats_networkx_or_shared_memory():
+    forbidden = ("scipy.stats", "networkx", "multiprocessing.shared_memory")
     assert _child_loaded(_MINE_CHILD, json.dumps(forbidden)) == []
 
 

@@ -107,3 +107,56 @@ def test_constant_adjustment_dropped():
     # City is the adjustment attribute AND fixed by the grouping pattern.
     rule = evaluator.evaluate(Pattern.of(City="Metro"), Pattern.of(Training="Yes"))
     assert rule.utility == pytest.approx(8_000.0, rel=0.15)
+
+
+def _evaluator_on(dag, table=None):
+    from repro.rules.protected import ProtectedGroup
+
+    return RuleEvaluator(
+        table if table is not None else build_toy_table(n=200, seed=5),
+        "Income",
+        dag,
+        ProtectedGroup(Pattern.of(Gender="Female")),
+    )
+
+
+def test_adjustment_rejects_dag_without_outcome():
+    """A DAG that lacks the outcome is an error, not a parents-union fallback."""
+    from repro.causal.dag import CausalDAG
+
+    evaluator = _evaluator_on(CausalDAG([("City", "Training"), ("Gender", "Training")]))
+    with pytest.raises(EstimationError, match="outcome 'Income' not in causal DAG"):
+        evaluator.adjustment_for(("Training",))
+
+
+def test_adjustment_rejects_unknown_treatment(evaluator):
+    with pytest.raises(EstimationError, match="treatment 'Ghost' not in causal DAG"):
+        evaluator.adjustment_for(("Ghost", "Training"))
+
+
+def test_adjustment_falls_back_to_parents_union():
+    """Compound treatments without a strict backdoor set keep the fallback."""
+    import numpy as np
+
+    from repro.causal.dag import CausalDAG
+    from repro.tabular.table import Table
+
+    # Training -> City -> Gender with City -> Income: parents(Gender)
+    # include City, a descendant of Training, so no strict set exists.
+    dag = CausalDAG(
+        edges=[
+            ("Training", "City"), ("City", "Gender"), ("City", "Income"),
+            ("Training", "Income"), ("Gender", "Income"),
+        ]
+    )
+    rng = np.random.default_rng(0)
+    table = Table(
+        {
+            "Training": rng.choice(["Yes", "No"], 50).tolist(),
+            "City": rng.choice(["Metro", "Rural"], 50).tolist(),
+            "Gender": rng.choice(["Female", "Male"], 50).tolist(),
+            "Income": rng.normal(size=50),
+        }
+    )
+    evaluator = _evaluator_on(dag, table)
+    assert evaluator.adjustment_for(("Gender", "Training")) == ("City",)
