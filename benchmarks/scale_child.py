@@ -49,6 +49,8 @@ def main() -> int:
     # The default Step-2 engine without an estimation cache on BOTH sides,
     # so the peaks compare the data layer — the same configuration as the
     # memory-cap regression test (tests/integration/test_memory_cap.py).
+    # Factorizations die with their context's sub-table in every
+    # configuration, so neither side retains designs across contexts.
     config = dataclasses.replace(oracle_config(world), cache_size=0)
     directory = tempfile.mkdtemp(prefix="bench-scale-shards-")
     try:

@@ -34,8 +34,8 @@ of the table and its moment matrix ``M = AᵀA``, one GEMM per (table,
 outcome).  A design's normal equations are then index work on ``M`` and
 ``A``: :class:`GramFactorization` captures ``G⁻¹`` for a basis of
 ``col(W)``, its rank and the residualised outcome — computed once per
-(table, adjustment, outcome) and cacheable (see
-:class:`~repro.parallel.cache.EstimationCache`) — or marks the design
+(table, adjustment, outcome) and memoised on the table it factorizes, so
+it lives exactly as long as that sub-table — or marks the design
 degenerate.  :func:`estimate_level_rows` residualises a whole lattice level
 — an ``(m, n)`` row stack of treated masks, grouped by adjustment set — in
 one GEMM pair per group and reads off all ``m`` estimates, standard errors
@@ -107,11 +107,15 @@ _POSITIVITY = POSITIVITY_REASON
 _DEGENERATE = "degenerate fit: no residual degrees of freedom"
 
 
-#: Precomputed label keys for the factorization-route counter: the one
-#: per-event hot site that fires on every factorization build.
+#: Precomputed label keys for the factorization-route counter, a per-event
+#: hot site that fires on every factorization build.
 _ROUTE_KEYS = {
     route: f"route={route}" for route in ("gram", "gram_reduced", "degenerate")
 }
+
+#: Precomputed label keys of ``cache.lookups`` for the factorization memo,
+#: indexed by whether the lookup hit.
+_LOOKUP_KEYS = ("outcome=miss,tier=factorization", "outcome=hit,tier=factorization")
 
 
 def _count_route(route: str) -> None:
@@ -162,7 +166,8 @@ class GramFactorization:
     yields the *degenerate marker*: ``degenerate=True``, rank 0 and empty
     arrays.  Every column estimated against it takes the scalar ``ols()``
     path, which defines its bits.  The marker is an instance rather than
-    ``None`` because the factorization caches read ``None`` as a miss.
+    ``None`` because the table's memo (:func:`_table_factorization`) reads
+    ``None`` as a miss.
     """
 
     w: np.ndarray  # (n, rank) basis columns of the design block
@@ -189,8 +194,8 @@ class _Moments:
     rows a basis of ``col(W)`` keeps (:func:`_basis_rows`).
 
     ``U`` is fixed by the table alone, never by which designs were asked
-    for first: factorizations are cached by table content and shared
-    across contexts, so a design's bits must not depend on cache state.
+    for first: the CATE level cache is keyed by table content and shared
+    across contexts, so a design's bits must not depend on request order.
     """
 
     rows: np.ndarray
@@ -411,12 +416,37 @@ def build_rows_factorization(
     )
 
 
+def _table_factorization(
+    table: Table, outcome: str, adjustment: tuple[str, ...]
+) -> GramFactorization:
+    """:func:`build_rows_factorization`, memoised on ``table``.
+
+    The memo sits in ``table.__dict__`` beside the table's moment
+    statistic, keyed by ``(outcome, adjustment)``, so a factorization lives
+    exactly as long as the sub-table it factorizes: one Step-2 context.
+    Its bits are a pure function of the table's content, so a hit is
+    bit-identical to a rebuild.  A build that raises memoises nothing.  In
+    a traced run every lookup counts as a factorization-tier
+    ``cache.lookups`` hit or miss.
+    """
+    memo = table.__dict__.setdefault("_factorization_cache", {})
+    key = (outcome, adjustment)
+    factorization = memo.get(key)
+    hit = factorization is not None
+    if not hit:
+        factorization = build_rows_factorization(table, outcome, adjustment)
+        memo[key] = factorization
+    telemetry = obs_current()
+    if telemetry.enabled:
+        telemetry.registry.inc_key("cache.lookups", _LOOKUP_KEYS[hit])
+    return factorization
+
+
 def estimate_level_rows(
     table: Table,
     treated_rows: np.ndarray,
     outcome: str,
     adjustments: Sequence[tuple[str, ...]],
-    factorization_for=None,
     float_rows: np.ndarray | None = None,
     counts: np.ndarray | None = None,
 ) -> list[CateResult]:
@@ -438,9 +468,10 @@ def estimate_level_rows(
       bitset layer computes them anyway for support pruning), replacing
       the per-call boolean row sums.
 
-    ``factorization_for`` is an optional ``adjustment -> factorization``
-    callable (e.g. a cache lookup), invoked once per group with at least
-    one row passing the positivity screen.
+    Each group with at least one row past the positivity screen looks its
+    design up in ``table``'s factorization memo
+    (:func:`_table_factorization`) and builds it only on a miss, so every
+    level of one sub-table shares each design's build.
 
     Exactness: results agree with the scalar
     :meth:`~repro.causal.estimators.LinearAdjustmentEstimator.estimate` to
@@ -511,10 +542,7 @@ def estimate_level_rows(
         "estimation.level", kernel="rows", columns=m, groups=len(groups)
     ):
         for adjustment, cols in groups.items():
-            if factorization_for is not None:
-                factorization = factorization_for(adjustment)
-            else:
-                factorization = build_rows_factorization(table, outcome, adjustment)
+            factorization = _table_factorization(table, outcome, adjustment)
             if factorization.degenerate:
                 _count_scalar_fallbacks("rows", "collinear_design", len(cols))
                 for j in cols:

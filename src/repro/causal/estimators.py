@@ -245,7 +245,6 @@ class LinearAdjustmentEstimator:
         treated_rows: np.ndarray,
         outcome: str,
         adjustments,
-        factorization_for=None,
         float_rows: np.ndarray | None = None,
         counts: np.ndarray | None = None,
     ) -> list[CateResult]:
@@ -263,7 +262,6 @@ class LinearAdjustmentEstimator:
             treated_rows,
             outcome,
             adjustments,
-            factorization_for=factorization_for,
             float_rows=float_rows,
             counts=counts,
         )

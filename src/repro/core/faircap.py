@@ -195,9 +195,7 @@ class FairCap:
             # EstimationCache.emit_counters).  The baseline matters when a
             # shared cache arrives warm from a previous run.
             cache_baseline = (
-                cache.tier_stats()
-                if config.telemetry and cache is not None
-                else None
+                cache.stats() if config.telemetry and cache is not None else None
             )
             with telemetry.tracer.span(
                 "faircap.run",
@@ -233,17 +231,28 @@ class FairCap:
 
             report = None
             if config.telemetry:
+                registry = telemetry.registry
                 if cache is not None:
-                    tier_stats = cache.emit_counters(
-                        telemetry.registry, cache_baseline
+                    stats = cache.emit_counters(registry, cache_baseline)
+                    registry.set_gauge(
+                        "cache.entries", stats.entries, tier="estimation"
                     )
-                    for tier, stats in tier_stats.items():
-                        telemetry.registry.set_gauge(
-                            "cache.entries", stats.entries, tier=tier
-                        )
-                        telemetry.registry.set_gauge(
-                            "cache.hit_rate", stats.hit_rate, tier=tier
-                        )
+                    registry.set_gauge(
+                        "cache.hit_rate", stats.hit_rate, tier="estimation"
+                    )
+                # The factorization memo counts its own lookups into the
+                # registry (repro.causal.batch); process workers' counts
+                # have been merged in by now.
+                hits, misses = (
+                    registry.counter_value(
+                        "cache.lookups", tier="factorization", outcome=outcome
+                    )
+                    for outcome in ("hit", "miss")
+                )
+                if hits or misses:
+                    registry.set_gauge(
+                        "cache.hit_rate", hits / (hits + misses), tier="factorization"
+                    )
                 report = build_report(
                     telemetry,
                     meta={

@@ -41,13 +41,17 @@ def derived_stats(counters: Mapping) -> dict:
     """Headline rates computed from a counters snapshot.
 
     - ``cache_hit_rate``: cache lookups answered without recomputing,
-      across every tier.  (Within one cold run the estimation tier is
-      nearly all misses: a level batch hits only when another grouping
-      pattern with identical coverage, hence the same sub-table and level
-      digest, estimated it first — 8 hits against 822 misses on the
-      ``so-run`` benchmark workload — so a per-run rate restricted to that
-      tier would be near zero; the factorization tier repeats within a run
-      and carries the signal.)
+      across every tier.  The estimation tier's counts are the
+      :class:`~repro.parallel.cache.EstimationCache` deltas folded in at
+      run end; the factorization tier's are counted per lookup in the
+      per-sub-table factorization memo of :mod:`repro.causal.batch`, with
+      or without a cache attached, and a miss is one build.  (Within one
+      cold run the estimation tier is nearly all misses: a level batch
+      hits only when another grouping pattern with identical coverage,
+      hence the same sub-table and level digest, estimated it first — 8
+      hits against 822 misses on the ``so-run`` benchmark workload — so a
+      per-run rate restricted to that tier would be near zero; the
+      factorization tier repeats within a context and carries the signal.)
     - ``prune_rate``: lattice candidates rejected by popcount support
       pruning before any estimation;
     - ``scalar_fallback_rate``: estimated columns routed through the scalar

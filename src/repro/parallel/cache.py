@@ -24,15 +24,12 @@ is an LRU bounded by ``max_entries`` and guarded by a lock so
 :class:`~repro.parallel.executors.ThreadExecutor` workers can share one
 instance.
 
-The batched FWL engine (:mod:`repro.causal.batch`) adds two entry families:
-
-- *level entries* (:meth:`EstimationCache.rows_level_key`) memoise one whole
-  (sub-population, lattice level) batch under a digest of its packed
-  treated stack — per-candidate GEMM output is only bit-reproducible for an
-  identical batch, so the level itself is the content unit;
-- *design factorizations* (:meth:`EstimationCache.get_or_factorize_rows`)
-  memoise the per-(table, outcome, adjustment) factorization in a sibling
-  LRU that never crosses process boundaries.
+The batched FWL engine (:mod:`repro.causal.batch`) stores *level entries*
+(:meth:`EstimationCache.rows_level_key`): one whole (sub-population, lattice
+level) batch under a digest of its packed treated stack — per-candidate GEMM
+output is only bit-reproducible for an identical batch, so the level itself
+is the content unit.  Design factorizations are not kept here: each is
+memoised on the sub-table it factorizes and dies with it.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ CacheKey = tuple
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss/eviction counters of one :class:`EstimationCache` tier."""
+    """Hit/miss/eviction counters of an :class:`EstimationCache`."""
 
     hits: int
     misses: int
@@ -104,17 +101,7 @@ class EstimationCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._fac_hits = 0
-        self._fac_misses = 0
-        self._fac_evictions = 0
         self._new: dict[CacheKey, object] | None = None
-        # Design factorizations (repro.causal.batch) live in a sibling LRU:
-        # they are derived data — recomputable from the table — and carry an
-        # (n x k) design block each, so they are deliberately excluded from
-        # snapshot()/seed() (process workers rebuild their own rather than
-        # paying to ship dense blocks across the pool).
-        self._factorizations: OrderedDict[CacheKey, object] = OrderedDict()
-        self.max_factorizations = max(1, min(self.max_entries, 512))
 
     # -- keys ------------------------------------------------------------------
 
@@ -174,13 +161,6 @@ class EstimationCache:
             tuple(tuple(adj) for adj in adjustments),
         )
 
-    @staticmethod
-    def factorization_key(
-        table, outcome: str, adjustment: tuple[str, ...]
-    ) -> CacheKey:
-        """Content key of one row-kernel design factorization (table, outcome, Z)."""
-        return ("fwl-rows", table.fingerprint(), outcome, tuple(adjustment))
-
     # -- store -----------------------------------------------------------------
 
     def get(self, key: CacheKey):
@@ -220,36 +200,6 @@ class EstimationCache:
             result = estimator.estimate(table, treated, outcome, adjustment)
             self.put(key, result)
         return result
-
-    def get_or_factorize_rows(
-        self, table, outcome: str, adjustment: tuple[str, ...]
-    ):
-        """Memoised :func:`repro.causal.batch.build_rows_factorization`.
-
-        Factorizations live in their own LRU (``max_factorizations``) and
-        never travel through :meth:`snapshot`/:meth:`seed` — see
-        ``__init__``.  A factorization's bits are a pure function of the
-        table content, outcome and adjustment set, so a hit is always
-        bit-equivalent to rebuilding.
-        """
-        from repro.causal import batch
-
-        key = self.factorization_key(table, outcome, adjustment)
-        with self._lock:
-            factorization = self._factorizations.get(key)
-            if factorization is not None:
-                self._factorizations.move_to_end(key)
-                self._fac_hits += 1
-        if factorization is None:
-            factorization = batch.build_rows_factorization(table, outcome, adjustment)
-            with self._lock:
-                self._fac_misses += 1
-                self._factorizations[key] = factorization
-                self._factorizations.move_to_end(key)
-                while len(self._factorizations) > self.max_factorizations:
-                    self._factorizations.popitem(last=False)
-                    self._fac_evictions += 1
-        return factorization
 
     # -- cross-process sharing -------------------------------------------------
     #
@@ -298,64 +248,44 @@ class EstimationCache:
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> CacheStats:
-        """Current hit/miss/entry counters of the estimation tier."""
+        """Current hit/miss/entry/eviction counters of the store."""
         with self._lock:
             return CacheStats(
                 self._hits, self._misses, len(self._store), self._evictions
             )
 
-    def tier_stats(self) -> dict[str, CacheStats]:
-        """Per-tier counters: the estimation store and the factorization LRU."""
-        with self._lock:
-            return {
-                "estimation": CacheStats(
-                    self._hits, self._misses, len(self._store), self._evictions
-                ),
-                "factorization": CacheStats(
-                    self._fac_hits,
-                    self._fac_misses,
-                    len(self._factorizations),
-                    self._fac_evictions,
-                ),
-            }
-
     def emit_counters(
-        self, registry, baseline: dict[str, CacheStats] | None = None
-    ) -> dict[str, CacheStats]:
+        self, registry, baseline: CacheStats | None = None
+    ) -> CacheStats:
         """Fold lookup/eviction totals since ``baseline`` into ``registry``.
 
         Telemetry deliberately does *not* hook the per-lookup path — at
         mining rates that costs more than the 1% overhead budget allows —
         it reads the integer counters this cache keeps anyway and emits the
-        delta once per run (caller side) or once per chunk (process-worker
-        side, see :mod:`repro.parallel.mining`).  Returns the stats used as
-        the new baseline.
+        delta, as the ``tier=estimation`` series, once per run (caller
+        side) or once per chunk (process-worker side, see
+        :mod:`repro.parallel.mining`).  Returns the stats used as the new
+        baseline.
         """
-        stats = self.tier_stats()
-        for tier, current in stats.items():
-            prev = baseline.get(tier) if baseline else None
-            hits = current.hits - (prev.hits if prev else 0)
-            misses = current.misses - (prev.misses if prev else 0)
-            evictions = current.evictions - (prev.evictions if prev else 0)
-            if hits:
-                registry.inc("cache.lookups", hits, tier=tier, outcome="hit")
-            if misses:
-                registry.inc("cache.lookups", misses, tier=tier, outcome="miss")
-            if evictions:
-                registry.inc("cache.evictions", evictions, tier=tier)
-        return stats
+        current = self.stats()
+        hits = current.hits - (baseline.hits if baseline else 0)
+        misses = current.misses - (baseline.misses if baseline else 0)
+        evictions = current.evictions - (baseline.evictions if baseline else 0)
+        if hits:
+            registry.inc("cache.lookups", hits, tier="estimation", outcome="hit")
+        if misses:
+            registry.inc("cache.lookups", misses, tier="estimation", outcome="miss")
+        if evictions:
+            registry.inc("cache.evictions", evictions, tier="estimation")
+        return current
 
     def clear(self) -> None:
-        """Drop every entry (results and factorizations), reset counters."""
+        """Drop every entry and reset the counters."""
         with self._lock:
             self._store.clear()
-            self._factorizations.clear()
             self._hits = 0
             self._misses = 0
             self._evictions = 0
-            self._fac_hits = 0
-            self._fac_misses = 0
-            self._fac_evictions = 0
             if self._new is not None:
                 self._new = {}
 

@@ -37,7 +37,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.parallel.cache import EstimationCache
+from repro.parallel.cache import CacheStats, EstimationCache
 from repro.parallel.executors import SerialExecutor, chunk_indices
 from repro.parallel.resilience import RetryPolicy
 
@@ -59,7 +59,7 @@ class _MiningState:
     config: object
     patterns: tuple
     owns_telemetry: bool = False
-    cache_baseline: dict | None = None
+    cache_baseline: CacheStats | None = None
 
 
 def _build_state(payload: dict) -> _MiningState:
@@ -121,7 +121,7 @@ def _build_state(payload: dict) -> _MiningState:
         owns_telemetry=owns_telemetry,
         # Start counting cache activity after the warm-start seeding above.
         cache_baseline=(
-            cache.tier_stats() if owns_telemetry and cache is not None else None
+            cache.stats() if owns_telemetry and cache is not None else None
         ),
     )
 

@@ -26,8 +26,12 @@ non-protected requests for the kept candidates only — a rejected
 candidate's sub-population CATEs are never computed.
 :meth:`RuleEvaluator.estimate_requests` answers requests through the fused
 row-major kernel (:func:`repro.causal.batch.estimate_level_rows`) under
-level-granularity cache keys.  :meth:`GroupEvaluationContext.evaluate` is
-the scalar per-candidate reference.
+level-granularity cache keys.  The kernel memoises each design's
+factorization on the sub-table it factorizes, so a context's
+factorizations die with it; a protected or non-protected side that covers
+every row of the context *is* the context's sub-table and shares them.
+:meth:`GroupEvaluationContext.evaluate` is the scalar per-candidate
+reference.
 
 Utilities follow the paper's conventions: a rule covering no tuples has
 utility 0, and a sub-group CATE that cannot be estimated (no protected rows,
@@ -237,18 +241,28 @@ class GroupEvaluationContext:
         self.subtable = evaluator.table.filter(group_mask)
         self.sub_protected = evaluator.protected_mask[group_mask]
         self.protected_count = int(self.sub_protected.sum())
-        self.protected_table = (
-            self.subtable.filter(self.sub_protected) if self.protected_count else None
-        )
         non_protected_count = self.coverage_count - self.protected_count
-        self.non_protected_table = (
-            self.subtable.filter(~self.sub_protected) if non_protected_count else None
+        # A side that holds every covered row *is* the subtable, so its
+        # batches reuse the factorizations memoised on the subtable.
+        self.protected_table = self._side_table(
+            self.sub_protected, self.protected_count
+        )
+        self.non_protected_table = self._side_table(
+            ~self.sub_protected, non_protected_count
         )
         # Built lazily by the batched engine: the protected row-selection
         # as packed words for popcount splits, and its digest for the
         # sub-population cache keys.
         self._protected_words: np.ndarray | None = None
         self._protected_digest: bytes | None = None
+
+    def _side_table(self, rows: np.ndarray, count: int) -> Table | None:
+        """The protected or non-protected sub-table: ``None`` when empty."""
+        if count == 0:
+            return None
+        if count == self.coverage_count:
+            return self.subtable
+        return self.subtable.filter(rows)
 
     def _protected_bitset(self) -> np.ndarray:
         """Packed protected-row mask over the subtable (lazily built)."""
@@ -641,7 +655,6 @@ class RuleEvaluator:
         self.cache = cache
         self.protected_mask = protected.mask(table)
         self._adjustment_cache: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._factorization_memo: dict[tuple, object] = {}
 
     # -- adjustment ------------------------------------------------------------
 
@@ -722,29 +735,6 @@ class RuleEvaluator:
             memo[adjustment] = effective
         return effective
 
-    def _local_factorization(self, subtable: Table, effective: tuple[str, ...]):
-        """Design factorization for cache-free runs (``cache_size=0``).
-
-        With an :class:`EstimationCache` attached, factorizations live in
-        its dedicated store (:meth:`EstimationCache.get_or_factorize_rows`);
-        without one, this small evaluator-local memo still amortises the
-        factorization across the lattice levels of each context.  It holds
-        at most 512 entries and evicts in insertion (FIFO) order; a hit
-        does not refresh an entry.
-        """
-        from repro.causal import batch
-
-        key = (subtable.fingerprint(), self.outcome, effective)
-        factorization = self._factorization_memo.get(key)
-        if factorization is None:
-            factorization = batch.build_rows_factorization(
-                subtable, self.outcome, effective
-            )
-            self._factorization_memo[key] = factorization
-            while len(self._factorization_memo) > 512:
-                self._factorization_memo.pop(next(iter(self._factorization_memo)))
-        return factorization
-
     def estimate_requests(self, requests: Sequence[_SubRequest]) -> None:
         """Answer (sub-population, level) requests, filling ``results``.
 
@@ -772,18 +762,11 @@ class RuleEvaluator:
                 if cached is not None:
                     request.results = cached
                     continue
-
-            def factorization_for(adjustment, table=request.table):
-                if cache is not None:
-                    return cache.get_or_factorize_rows(table, self.outcome, adjustment)
-                return self._local_factorization(table, adjustment)
-
             request.results = estimator.estimate_level_rows(
                 request.table,
                 request.treated_rows,
                 self.outcome,
                 request.effective,
-                factorization_for=factorization_for,
                 float_rows=request.float_rows,
                 counts=request.counts,
             )

@@ -19,6 +19,9 @@ This file is the contract:
   outcome as an adjuster, no categorical column), bit-identical results
   whatever order designs are requested in, and exact inverses of
   all-categorical Grams;
+- the kernel's factorization memo: one build per (table, outcome,
+  adjustment), its own bit-identical build for a content-equal table, and
+  nothing memoised for a build that raises;
 - property tests: batch-of-one ≡ scalar, candidate-permutation invariance,
   FWL affine equivariance of the batched estimates, mixed-adjustment levels
   ≡ one call per adjustment group;
@@ -315,6 +318,59 @@ def test_unknown_adjustment_raises_schema_error():
     table = build_toy_table(n=50, seed=1)
     with pytest.raises(SchemaError, match="Region"):
         build_rows_factorization(table, "Income", ("City", "Region"))
+
+
+def test_kernel_memoises_factorizations_per_table(monkeypatch):
+    """The kernel memoises each design's factorization on its table.
+
+    Two kernel calls on one table build the design once and reuse the
+    object; a content-equal but distinct table builds its own, bit-identical
+    one; an unknown adjuster raises on every call and memoises nothing.
+    Builds are counted through the module global the kernel calls on a
+    miss, which is also what the repo benchmark's ledger patches.
+    """
+    from repro.causal import batch
+    from repro.obs import telemetry_session
+
+    built = []
+    build = batch.build_rows_factorization
+
+    def recording(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(batch, "build_rows_factorization", recording)
+    table = build_toy_table(n=300, seed=4)
+    masks = random_masks(ensure_rng(4), table.n_rows, 5)
+    adjustment = ("Gender", "City")
+    with telemetry_session(enabled=True) as telemetry:
+        first = rows_kernel(table, masks, "Income", adjustment)
+        second = rows_kernel(table, masks, "Income", adjustment)
+        assert len(built) == 1
+        assert batch._table_factorization(table, "Income", adjustment) is built[0]
+        routes = telemetry.registry.snapshot()["counters"]["estimation.factorizations"]
+        assert sum(routes["values"].values()) == 1
+        for got, want in zip(second, first):
+            assert_cate_close(got, want, exact=True)
+
+        copy = table.filter(np.ones(table.n_rows, dtype=bool))
+        rows_kernel(copy, masks, "Income", adjustment)
+        assert len(built) == 2 and built[1] is not built[0]
+        for field in ("gram_inv", "w", "y_res"):
+            np.testing.assert_array_equal(
+                getattr(built[1], field), getattr(built[0], field)
+            )
+
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="Region"):
+                rows_kernel(table, masks, "Income", ("City", "Region"))
+    assert len(built) == 2
+    assert list(table.__dict__["_factorization_cache"]) == [("Income", adjustment)]
+    lookups = telemetry.registry.snapshot()["counters"]["cache.lookups"]["values"]
+    assert lookups == {
+        "outcome=hit,tier=factorization": 2.0,
+        "outcome=miss,tier=factorization": 2.0,
+    }
 
 
 # -- property tests ------------------------------------------------------------

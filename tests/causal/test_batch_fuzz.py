@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from tests.causal.test_batch_differential import assert_cate_close
-from repro.causal.batch import build_rows_factorization, estimate_level_rows
+from repro.causal.batch import _table_factorization, estimate_level_rows
 from repro.causal.estimators import POSITIVITY_REASON, LinearAdjustmentEstimator
 from repro.obs import telemetry_session
 from repro.tabular.table import Table
@@ -108,14 +108,9 @@ def test_batch_matches_scalar_on_hostile_designs(rng):
             parent, mask, adjustment = _parent_and_mask(rng)
             sub = parent.filter(mask)
             rows = _treated_rows(rng, sub, adjustment)
-            factorization = build_rows_factorization(sub, "y", adjustment)
-            got = estimate_level_rows(
-                sub,
-                rows,
-                "y",
-                [adjustment] * len(rows),
-                factorization_for=lambda _: factorization,
-            )
+            got = estimate_level_rows(sub, rows, "y", [adjustment] * len(rows))
+            # The kernel's own factorization: a hit in the table's memo.
+            factorization = _table_factorization(sub, "y", adjustment)
             for j, row in enumerate(rows):
                 want = ESTIMATOR.estimate(sub, row, "y", adjustment)
                 rejected = want.reason == POSITIVITY_REASON

@@ -188,3 +188,75 @@ def test_one_live_context_per_worker(monkeypatch, executor):
     )
     assert len(built) == len(result.grouping_patterns) >= 10
     assert not violations, "\n".join(violations[:5])
+
+
+@pytest.mark.parametrize(
+    "executor, cache_size",
+    [("serial", 65_536), ("serial", 0), ("thread", 65_536)],
+    ids=["serial-cached", "serial-uncached", "thread-cached"],
+)
+def test_no_factorization_outlives_its_context(monkeypatch, executor, cache_size):
+    """A design factorization dies with the context whose sub-table it
+    factorizes, with or without an estimation cache attached.
+
+    Every factorization is tagged with the worker thread that built it.
+    When a worker builds its next context, everything it factorized
+    belongs to its earlier contexts and must be garbage by then.
+    """
+    import gc
+    import threading
+    import weakref
+
+    from repro.causal import batch
+    from repro.core.faircap import FairCap
+    from repro.datasets import load_german
+
+    bundle = load_german(n=800, rng=3)
+    n_workers = 2 if executor == "thread" else 1
+    config = FairCapConfig(
+        executor=executor,
+        n_workers=n_workers,
+        max_grouping_size=1,
+        cache_size=cache_size,
+    )
+    build_context = RuleEvaluator.context
+    build = batch.build_rows_factorization
+    lock = threading.Lock()
+    contexts: dict[int, int] = {}  # worker thread -> contexts built so far
+    built: list[tuple[int, int, weakref.ref]] = []
+    violations: list[str] = []
+
+    def tracking_context(self, grouping):
+        # Assertions raised inside a pool worker would be retried by the
+        # resilience layer, so violations are collected and checked after.
+        with lock:
+            gc.collect()
+            me = threading.get_ident()
+            alive = [
+                context
+                for tid, context, ref in built
+                if tid == me and ref() is not None
+            ]
+            if alive:
+                violations.append(
+                    f"{grouping}: {len(alive)} factorizations of this worker's "
+                    f"contexts {sorted(set(alive))} live"
+                )
+            contexts[me] = contexts.get(me, 0) + 1
+        return build_context(self, grouping)
+
+    def tracking_build(table, outcome, adjustment=()):
+        factorization = build(table, outcome, adjustment)
+        with lock:
+            me = threading.get_ident()
+            built.append((me, contexts[me], weakref.ref(factorization)))
+        return factorization
+
+    monkeypatch.setattr(RuleEvaluator, "context", tracking_context)
+    monkeypatch.setattr(batch, "build_rows_factorization", tracking_build)
+    result = FairCap(config).run(
+        bundle.table, bundle.schema, bundle.dag, bundle.protected
+    )
+    assert sum(contexts.values()) == len(result.grouping_patterns) >= 10
+    assert len(built) > len(result.grouping_patterns)
+    assert not violations, "\n".join(violations[:5])

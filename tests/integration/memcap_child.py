@@ -55,8 +55,9 @@ def main() -> int:
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     world = ScenarioWorld(spec_by_name(WORLD))
     # One config for BOTH paths, so the capped comparison is apples to
-    # apples: the default Step-2 engine without an estimation cache (no
-    # retained factorizations).
+    # apples: the default Step-2 engine without an estimation cache.  In
+    # every configuration a factorization dies with its context's
+    # sub-table, so neither path retains designs across contexts.
     config = dataclasses.replace(oracle_config(world), cache_size=0)
     directory = tempfile.mkdtemp(prefix="memcap-shards-")
     try:

@@ -111,6 +111,24 @@ def test_deterministic_family_covers_the_mining_pipeline(german_runs):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("executor_name", list(EXECUTORS))
+def test_factorization_tier_counts_memo_lookups(german_runs, executor_name):
+    """The factorization memo's lookups fill the factorization cache tier:
+    every miss is one build, and nothing is ever evicted."""
+    report = german_runs[executor_name].telemetry
+    counters = report["counters"]
+    lookups = counters["cache.lookups"]["values"]
+    hits = lookups["outcome=hit,tier=factorization"]
+    misses = lookups["outcome=miss,tier=factorization"]
+    assert misses == sum(counters["estimation.factorizations"]["values"].values())
+    assert hits > 0
+    gauge = report["gauges"]["cache.hit_rate"]["tier=factorization"]
+    assert gauge == hits / (hits + misses)
+    evictions = counters.get("cache.evictions", {}).get("values", {})
+    assert "tier=factorization" not in evictions
+
+
+@pytest.mark.slow
 def test_run_report_meta_and_spans(german_runs):
     result = german_runs["serial"]
     report = result.telemetry

@@ -234,18 +234,3 @@ def test_lru_seed_respects_the_bound_and_recency():
     # Seeding never touches the hit/miss counters.
     stats = cache.stats()
     assert stats.entries == 2
-
-
-def test_factorization_store_is_bounded_lru(rng):
-    """The sibling factorization LRU honours its own bound."""
-    table = make_table(rng)
-    cache = EstimationCache(max_entries=2)  # -> max_factorizations == 2
-    assert cache.max_factorizations == 2
-    for adjustment in ((), ("Group",), ("Group", "Outcome")):
-        cache.get_or_factorize_rows(table, "Outcome", adjustment)
-    assert len(cache._factorizations) == 2
-    # The most recent two survive.
-    keys = list(cache._factorizations)
-    assert keys[-1] == cache.factorization_key(
-        table, "Outcome", ("Group", "Outcome")
-    )
