@@ -3,7 +3,7 @@
 Drives the full production serving tier — :class:`ArtifactRegistry` on
 disk, :class:`PrescriptionService` behind the RCU hot-reload pointer, the
 threaded HTTP server with the ``/v1`` API — with keep-alive HTTP clients
-and records three things:
+and records two things:
 
 - **sustained load**: N client threads hammer ``POST /v1/prescribe`` over
   real German Credit rows against a mined ruleset; the record keeps
@@ -16,10 +16,6 @@ and records three things:
   generation (new version number with the old engine, or vice versa) is
   detectable per response.  Zero failed requests and zero hybrids is a
   *hard* gate: any miss fails the run.
-- **coalescing differential**: the same concurrent rows against a batched
-  server (``batch_window_ms > 0``, requests coalesced into one vectorized
-  index match) and an unbatched one — byte-for-byte identical
-  prescriptions is a hard gate; the record keeps the observed batch sizes.
 
 Usage::
 
@@ -37,7 +33,7 @@ Outputs:
   instead (deterministic paths; never touches the committed record).
 
 Wall-clock/RPS/latency are *soft* trend signals (shared CI boxes vary);
-the hard gates are the three correctness contracts above.
+the hard gates are the two correctness contracts above.
 """
 
 from __future__ import annotations
@@ -84,9 +80,9 @@ FULL_ROWS = 4_000
 # that exposes hybrid responses during the hot-reload probe.
 UTILITY_SHIFT = 1_000.0
 
-#: (clients, requests per client, probe requests per client, coalesce rows)
-SMOKE_LOAD = (3, 60, 30, 16)
-FULL_LOAD = (4, 300, 60, 24)
+#: (clients, requests per client, probe requests per client)
+SMOKE_LOAD = (3, 60, 30)
+FULL_LOAD = (4, 300, 60)
 
 
 def _mine_artifact(n_rows: int, seed: int) -> tuple[ServingArtifact, object]:
@@ -317,95 +313,10 @@ def _measure_hot_reload(port: int, bodies: list[bytes],
     }, failures
 
 
-def _measure_coalescing(artifact: ServingArtifact,
-                        rows: list[dict]) -> tuple[dict, list[str]]:
-    """Batched server == unbatched server on the same concurrent rows."""
-    failures: list[str] = []
-    answers: dict[bool, list] = {}
-    batch_sizes: list[float] = []
-    for batched in (False, True):
-        engine = PrescriptionEngine.from_artifact(artifact)
-        config = ServeConfig(
-            port=0,
-            batch_window_ms=10.0 if batched else 0.0,
-            batch_max_size=8,
-        )
-        server = make_server(engine, config=config)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        collected: list = [None] * len(rows)
-        barrier = threading.Barrier(len(rows))
-
-        def post(i, port=server.port, collected=collected, barrier=barrier):
-            try:
-                connection = http.client.HTTPConnection(
-                    "127.0.0.1", port, timeout=30
-                )
-                barrier.wait(timeout=30)
-                connection.request(
-                    "POST", "/v1/prescribe",
-                    json.dumps({"individual": rows[i]}).encode(),
-                    {"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                payload = json.loads(response.read())
-                collected[i] = (
-                    response.status, payload.get("prescription")
-                )
-                connection.close()
-            except BaseException as exc:  # noqa: BLE001
-                collected[i] = ("crash", repr(exc))
-
-        workers = [
-            threading.Thread(target=post, args=(i,), daemon=True)
-            for i in range(len(rows))
-        ]
-        try:
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-            answers[batched] = collected
-            if batched:
-                snapshot = server.metrics.snapshot()
-                histogram = snapshot["histograms"].get("serve.batch_size", {})
-                for cell in histogram.get("values", {}).values():
-                    batch_sizes.append((cell["sum"], cell["count"]))
-                if not batch_sizes:
-                    failures.append(
-                        "coalescing: no batch was ever dispatched "
-                        "(serve.batch_size histogram empty)"
-                    )
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-    if answers[True] != answers[False]:
-        diffs = sum(
-            1 for a, b in zip(answers[True], answers[False]) if a != b
-        )
-        failures.append(
-            f"coalescing differential: batched server diverged from "
-            f"unbatched on {diffs}/{len(rows)} rows"
-        )
-    if not all(status == 200 for status, __ in answers[False]):
-        failures.append("coalescing: unbatched server returned non-200s")
-    dispatched = sum(count for __, count in batch_sizes)
-    submitted = sum(total for total, __ in batch_sizes)
-    return {
-        "rows": len(rows),
-        "identical": answers[True] == answers[False],
-        "batches_dispatched": int(dispatched),
-        "mean_batch_size": round(submitted / dispatched, 2) if dispatched else 0,
-        "batch_window_ms": 10.0,
-        "batch_max_size": 8,
-    }, failures
-
-
 def _run_workload(artifact: ServingArtifact, rows: list[dict],
-                  load_shape: tuple[int, int, int, int]) -> tuple[dict, list[str]]:
-    """The full three-phase workload against a two-version registry."""
-    clients, per_client, probe_per_client, coalesce_rows = load_shape
+                  load_shape: tuple[int, int, int]) -> tuple[dict, list[str]]:
+    """The full two-phase workload against a two-version registry."""
+    clients, per_client, probe_per_client = load_shape
     failures: list[str] = []
     bodies = [json.dumps({"individual": row}).encode() for row in rows]
     shifted = _shifted(artifact)
@@ -438,13 +349,7 @@ def _run_workload(artifact: ServingArtifact, rows: list[dict],
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-
-    coalescing, problems = _measure_coalescing(
-        artifact, rows[:coalesce_rows]
-    )
-    failures.extend(problems)
-    return {"load": load, "hot_reload_probe": probe,
-            "coalescing": coalescing}, failures
+    return {"load": load, "hot_reload_probe": probe}, failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -470,7 +375,6 @@ def main(argv: list[str] | None = None) -> int:
 
     load = results["load"]
     probe = results["hot_reload_probe"]
-    coalescing = results["coalescing"]
     payload = {
         "benchmark": "serve",
         "dataset": "german",
@@ -505,13 +409,6 @@ def main(argv: list[str] | None = None) -> int:
         f"failed {probe['failed']}, hybrids {probe['hybrids']}, "
         f"versions seen {probe['versions_seen']} — "
         f"{'OK' if probe['zero_failed'] else 'FAILED (hard gate)'}",
-        "",
-        f"coalescing differential ({coalescing['rows']} concurrent rows, "
-        f"window {coalescing['batch_window_ms']}ms):",
-        f"  batched == unbatched: "
-        f"{'yes' if coalescing['identical'] else 'NO (hard gate)'}; "
-        f"{coalescing['batches_dispatched']} batches, "
-        f"mean size {coalescing['mean_batch_size']}",
     ]
     print("\n".join(lines))
 

@@ -14,7 +14,7 @@ and the serving subsystem::
     python -m repro export --dataset german --out ruleset.json
     python -m repro export --dataset german --artifact-dir artifacts/ --activate
     python -m repro serve --artifact ruleset.json --port 8080
-    python -m repro serve --artifact-dir artifacts/ --workers 8 --batch-window-ms 2
+    python -m repro serve --artifact-dir artifacts/ --workers 8
     python -m repro list-datasets
     python -m repro --version
 
@@ -235,10 +235,6 @@ def _serve_config(args: argparse.Namespace):
         overrides["max_concurrency"] = args.max_concurrency or None
     if args.request_deadline_ms is not None:
         overrides["request_deadline_seconds"] = args.request_deadline_ms / 1e3
-    if args.batch_window_ms is not None:
-        overrides["batch_window_ms"] = args.batch_window_ms
-    if args.batch_max_size is not None:
-        overrides["batch_max_size"] = args.batch_max_size
     if args.artifact_dir is not None:
         overrides["artifact_dir"] = args.artifact_dir
     return ServeConfig.from_environment().with_overrides(**overrides)
@@ -444,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--request-deadline-ms", type=float, default=None,
                        help="per-request wall-clock budget; late requests "
                             "get 504 (default: none)")
-    serve.add_argument("--batch-window-ms", type=float, default=None,
-                       help="coalesce concurrent single-profile prescribes "
-                            "arriving within this window into one vectorized "
-                            "batch match (0 disables; default 0)")
-    serve.add_argument("--batch-max-size", type=int, default=None,
-                       help="cap on coalesced requests per batch (default 64)")
 
     sub.add_parser("list-datasets", help="list the bundled datasets")
     return parser

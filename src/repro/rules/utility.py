@@ -406,7 +406,9 @@ class GroupEvaluationContext:
         if sub_table is None:
             return [None] * m
         evaluator = self.evaluator
-        if rows_mask is None:
+        if rows_mask is None or sub_table is self.subtable:
+            # A side holding every covered row needs no copy of the stack;
+            # its cache key still names the side (``rows_mask`` below).
             sub_rows, sub_float = treated_rows, float_rows
         else:
             # Converting the sliced boolean stack is cheaper than slicing

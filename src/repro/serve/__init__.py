@@ -13,15 +13,12 @@ repository):
   discrimination maps matching an individual against the ruleset without
   scanning every rule, plus a vectorized batch path;
 - :mod:`repro.serve.engine` — :class:`PrescriptionEngine`: resolves
-  multiple matching rules with the paper's Eq. 5/6 utility semantics,
-  caches repeated attribute profiles (thread-safe), and coalesces
-  independent profiles into one vectorized match;
+  multiple matching rules with the paper's Eq. 5/6 utility semantics and
+  caches repeated attribute profiles (thread-safe);
 - :mod:`repro.serve.service` — :class:`PrescriptionService`: engine
   lifecycle behind an RCU-style pointer; hot reload swaps a complete
   immutable :class:`ServingState` so in-flight requests never see a torn
   generation;
-- :mod:`repro.serve.batching` — :class:`MicroBatcher`: concurrent
-  single-profile requests coalesced into one batch match;
 - :mod:`repro.serve.http` — the dependency-free ``/v1`` HTTP API
   (``POST /v1/prescribe``, ``GET /v1/rules``, ``GET /v1/health``,
   ``GET /v1/metrics``, ``GET /v1/artifacts``,
@@ -62,15 +59,9 @@ from repro.serve.artifact import (
     schema_from_list,
     schema_to_list,
 )
-from repro.serve.batching import MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.engine import Prescription, PrescriptionEngine
-from repro.serve.http import (
-    LEGACY_ALIASES,
-    PrescriptionServer,
-    make_server,
-    run_server,
-)
+from repro.serve.http import PrescriptionServer, make_server, run_server
 from repro.serve.index import (
     CompiledRuleIndex,
     naive_match_row,
@@ -83,12 +74,10 @@ from repro.serve.service import PrescriptionService, ServingState
 __all__ = [
     "ARTIFACT_FORMAT",
     "ARTIFACT_VERSION",
-    "LEGACY_ALIASES",
     "ApiError",
     "ArtifactRecord",
     "ArtifactRegistry",
     "CompiledRuleIndex",
-    "MicroBatcher",
     "Prescription",
     "PrescriptionEngine",
     "PrescriptionServer",

@@ -1,7 +1,7 @@
 """Serving-tier configuration: one frozen dataclass instead of kwarg sprawl.
 
 :class:`ServeConfig` gathers every tunable of the production serving tier —
-bind address, worker-pool width, request batching, backpressure, deadlines,
+bind address, worker-pool width, backpressure, deadlines, profile cache,
 artifact registry location — the way :class:`~repro.core.config.FairCapConfig`
 gathers the mining tunables: a frozen dataclass validated on construction,
 with a :meth:`ServeConfig.validate` that re-checks an instance built through
@@ -15,8 +15,6 @@ the CLI flags override, mirroring how :class:`ExperimentSettings` reads
     REPRO_SERVE_WORKERS                        request worker threads
     REPRO_SERVE_MAX_CONCURRENCY                in-flight bound (0 = unbounded)
     REPRO_SERVE_DEADLINE_MS                    default request deadline
-    REPRO_SERVE_BATCH_WINDOW_MS                micro-batch coalescing window
-    REPRO_SERVE_BATCH_MAX                      micro-batch size cap
     REPRO_SERVE_CACHE_SIZE                     profile LRU entries
     REPRO_SERVE_ARTIFACT_DIR                   versioned artifact registry
 """
@@ -73,16 +71,6 @@ class ServeConfig:
         loosens) this.  ``None`` = no server-side default.
     drain_timeout_seconds:
         How long a graceful shutdown waits for in-flight requests.
-    batch_window_ms:
-        Micro-batching: concurrent single-individual ``/v1/prescribe``
-        requests arriving within this window are coalesced into one
-        vectorized :class:`~repro.serve.index.CompiledRuleIndex` batch
-        match (``0`` disables coalescing — every request dispatches
-        immediately).  Coalescing never changes answers, only amortizes
-        per-request matching overhead.
-    batch_max_size:
-        Cap on how many coalesced requests one batch may hold; a full
-        batch dispatches before the window closes.
     cache_size:
         Profile-LRU entries for engines the tier builds from artifacts
         (``0`` disables the cache).
@@ -101,8 +89,6 @@ class ServeConfig:
     max_concurrency: int | None = 64
     request_deadline_seconds: float | None = None
     drain_timeout_seconds: float = 10.0
-    batch_window_ms: float = 0.0
-    batch_max_size: int = 64
     cache_size: int = 1024
     artifact_dir: str | None = None
     quiet: bool = True
@@ -127,10 +113,6 @@ class ServeConfig:
             raise ServeError("request_deadline_seconds must be > 0 or None")
         if self.drain_timeout_seconds <= 0:
             raise ServeError("drain_timeout_seconds must be > 0")
-        if self.batch_window_ms < 0:
-            raise ServeError("batch_window_ms must be >= 0")
-        if self.batch_max_size < 1:
-            raise ServeError("batch_max_size must be >= 1")
         if self.cache_size < 0:
             raise ServeError("cache_size must be >= 0")
 
@@ -152,11 +134,6 @@ class ServeConfig:
                 if deadline_ms
                 else base.request_deadline_seconds
             ),
-            batch_window_ms=_env_float(
-                "REPRO_SERVE_BATCH_WINDOW_MS", base.batch_window_ms
-            )
-            or 0.0,
-            batch_max_size=_env_int("REPRO_SERVE_BATCH_MAX", base.batch_max_size),
             cache_size=_env_int("REPRO_SERVE_CACHE_SIZE", base.cache_size),
             artifact_dir=os.environ.get("REPRO_SERVE_ARTIFACT_DIR", None),
         )

@@ -19,16 +19,9 @@ cache is mutated from every handler thread of the HTTP tier, so all access
 — lookup, insert, eviction, counters — happens under one lock, and every
 prescribed profile contributes exactly one hit-or-miss counter event
 (``hits + misses == lookups`` holds under any interleaving; the concurrent
-hammer test pins this).
-
-:meth:`PrescriptionEngine.prescribe_profiles` is the serving tier's
-coalescing path: many *independent* profiles (e.g. concurrent HTTP requests
-batched by :class:`~repro.serve.batching.MicroBatcher`) are matched through
-one vectorized :meth:`CompiledRuleIndex.match_table` call.  Outcomes are
-identical to per-profile :meth:`prescribe` dispatch — including the
-per-profile errors — because any profile the vectorized path cannot prove
-equivalent (missing attributes, non-numeric values on numeric plans,
-heterogeneous key sets) falls back to the scalar path.
+hammer test pins this).  An attribute the profile lacks is keyed apart
+from one it carries as ``None``, so a cached answer is always the answer
+the uncached engine would give.
 """
 
 from __future__ import annotations
@@ -43,10 +36,12 @@ import numpy as np
 from repro.rules.protected import ProtectedGroup
 from repro.rules.ruleset import RuleSet
 from repro.serve.artifact import ServingArtifact, pattern_to_list
-from repro.serve.index import CompiledRuleIndex, _NumericPlan
+from repro.serve.index import CompiledRuleIndex
 from repro.tabular.schema import AttributeKind, Schema
 from repro.tabular.table import Table
-from repro.utils.errors import ServeError
+
+#: Cache-key value of an attribute the profile lacks; ``None`` is a value.
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -188,12 +183,12 @@ class PrescriptionEngine:
             intervention=self._interventions[chosen],
         )
 
+    # count_miss stays: perfbench's ledger calls original(self, key, count_miss).
     def _cache_lookup(
         self, key: tuple | None, count_miss: bool = True
     ) -> Prescription | None:
         """One locked cache probe; a hit is always counted, a miss only
-        when ``count_miss`` (the vectorized path defers its miss count to
-        the insert so each profile contributes exactly one event)."""
+        when ``count_miss``."""
         if key is None:
             return None
         with self._cache_lock:
@@ -206,14 +201,10 @@ class PrescriptionEngine:
                 self._misses += 1
             return None
 
-    def _cache_put(
-        self, key: tuple | None, result: Prescription, count_miss: bool = False
-    ) -> None:
+    def _cache_put(self, key: tuple | None, result: Prescription) -> None:
         if key is None:
             return
         with self._cache_lock:
-            if count_miss:
-                self._misses += 1
             self._cache[key] = result
             self._cache.move_to_end(key)
             if len(self._cache) > self._cache_size:
@@ -236,89 +227,6 @@ class PrescriptionEngine:
     ) -> list[Prescription]:
         """Resolve a list of attribute profiles (shares the LRU cache)."""
         return [self.prescribe(row) for row in individuals]
-
-    # -- coalesced batch path ------------------------------------------------------
-
-    def _vectorizable(self, row: Mapping[str, object]) -> bool:
-        """Can ``row`` go through the table batch path with *provably* the
-        same outcome as scalar dispatch?  Numeric discrimination plans
-        coerce scalar values with ``float(...)`` — strings included — while
-        a table column built from mixed raw values may type differently,
-        so anything but a plain number routes to the scalar path."""
-        for attribute, plan in self.index._plans.items():
-            value = row[attribute]
-            if isinstance(plan, _NumericPlan):
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float, np.integer, np.floating)
-                ):
-                    return False
-        return True
-
-    def prescribe_profiles(
-        self, individuals: Sequence[Mapping[str, object]]
-    ) -> list["Prescription | ServeError"]:
-        """Resolve many *independent* profiles through one vectorized match.
-
-        The serving tier's micro-batcher coalesces concurrent requests
-        into one call; element ``i`` of the result is either the
-        :class:`Prescription` or the :class:`ServeError` that per-profile
-        :meth:`prescribe` dispatch would have produced for profile ``i``
-        — one profile's bad attributes never fail its batch neighbours.
-
-        Cached profiles are answered from the LRU; the remainder are
-        grouped by attribute-key set, stacked into a
-        :class:`~repro.tabular.table.Table`, and matched in one
-        :meth:`CompiledRuleIndex.match_table` call.  Any profile the
-        vectorized path cannot handle provably-identically falls back to
-        scalar dispatch, so coalescing never changes an answer (pinned by
-        the batching differential suite).
-        """
-        rows = list(individuals)
-        out: list[Prescription | ServeError] = [None] * len(rows)  # type: ignore[list-item]
-        keys = [self._cache_key(row) for row in rows]
-        vector: list[int] = []
-        for i, row in enumerate(rows):
-            cached = self._cache_lookup(keys[i], count_miss=False)
-            if cached is not None:
-                out[i] = cached
-            elif self.index.missing_attributes(row) or not self._vectorizable(row):
-                out[i] = self._scalar_outcome(row)
-            else:
-                vector.append(i)
-
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for i in vector:
-            groups.setdefault(tuple(sorted(rows[i])), []).append(i)
-        for indices in groups.values():
-            if len(indices) == 1:
-                out[indices[0]] = self._scalar_outcome(rows[indices[0]])
-                continue
-            try:
-                table = Table.from_rows([rows[i] for i in indices])
-                matched = self.index.match_table(table)  # (n_rules, n_rows)
-            except Exception:
-                # Column typing rejected the stack (mixed value types, ...):
-                # serve each profile scalar rather than guess.
-                for i in indices:
-                    out[i] = self._scalar_outcome(rows[i])
-                continue
-            for column, i in enumerate(indices):
-                row = rows[i]
-                result = self._resolve(
-                    tuple(int(r) for r in np.flatnonzero(matched[:, column])),
-                    self._is_protected(row),
-                )
-                self._cache_put(keys[i], result, count_miss=True)
-                out[i] = result
-        return out
-
-    def _scalar_outcome(
-        self, row: Mapping[str, object]
-    ) -> "Prescription | ServeError":
-        try:
-            return self.prescribe(row)
-        except ServeError as exc:
-            return exc
 
     # -- vectorized path ----------------------------------------------------------
 
@@ -384,7 +292,9 @@ class PrescriptionEngine:
     def _cache_key(self, individual: Mapping[str, object]) -> tuple | None:
         if self._cache_size == 0:
             return None
-        key = tuple((a, individual.get(a)) for a in self._cache_attributes)
+        key = tuple(
+            (a, individual.get(a, _ABSENT)) for a in self._cache_attributes
+        )
         try:
             hash(key)
         except TypeError:

@@ -19,10 +19,8 @@ Endpoints (``docs/serving.md`` is the full reference):
 - ``POST /v1/prescribe``          — ``{"individual": {...}}`` or
   ``{"individuals": [...]}``.
 
-The pre-/v1 paths (``/health``, ``/rules``, ``/metrics``, ``/prescribe``)
-remain as **deprecated aliases**: they run the exact same handlers (so
-bodies are byte-identical), but answer with a ``Deprecation: true`` header
-and tick the ``http.deprecated_path`` counter.
+Any other path, the unversioned ``/health``, ``/rules``, ``/metrics`` and
+``/prescribe`` included, answers 404.
 
 Every non-2xx response carries one uniform JSON envelope::
 
@@ -42,9 +40,6 @@ Concurrency model:
   requests get an immediate 503 + ``Retry-After``
   (``http.backpressure_rejections``).  Ops endpoints (health, metrics)
   bypass the gate — operators need them most exactly when it is closed;
-- with ``batch_window_ms > 0``, concurrent single-individual prescribe
-  requests are coalesced by a :class:`~repro.serve.batching.MicroBatcher`
-  into one vectorized batch match (``serve.batch_size`` histogram);
 - hot reload is an RCU-style pointer swap in the service layer: each
   request snapshots the serving state once in ``_begin_request`` and uses
   it for its whole lifetime, so a swap mid-request can never produce a
@@ -75,7 +70,6 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from repro.obs import MetricsRegistry, StructuredLogger, new_request_id, render_prometheus
-from repro.serve.batching import MicroBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.engine import PrescriptionEngine
 from repro.serve.registry import ArtifactRegistry
@@ -98,16 +92,8 @@ _V1_POST = frozenset({"/v1/prescribe", "/v1/artifacts/activate"})
 
 #: Routes that get their own ``path`` metric label; anything else is folded
 #: into ``other`` so arbitrary scanned paths cannot blow up label
-#: cardinality.  Aliases report under their canonical /v1 label.
+#: cardinality.
 _KNOWN_PATHS = _V1_GET | _V1_POST
-
-#: Deprecated pre-/v1 paths, served byte-identically by the /v1 handlers.
-LEGACY_ALIASES = {
-    "/health": "/v1/health",
-    "/rules": "/v1/rules",
-    "/metrics": "/v1/metrics",
-    "/prescribe": "/v1/prescribe",
-}
 
 #: Endpoints operators need while the gate is closed or the server drains.
 _OPS_PATHS = frozenset({"/v1/health", "/v1/metrics"})
@@ -127,8 +113,6 @@ _HELP_TEXTS = {
     "http.backpressure_rejections": "Requests rejected with 503, by reason.",
     "http.deadline_exceeded": "Requests aborted with 504 past their deadline.",
     "http.client_disconnects": "Requests whose peer hung up mid-response.",
-    "http.deprecated_path": "Requests answered via a deprecated path alias.",
-    "serve.batch_size": "Coalesced micro-batch sizes (requests per dispatch).",
     "serve.reloads": "Successful artifact hot-reloads since start.",
     "serve.ruleset_version": "Active ruleset artifact version (0 = unversioned).",
     "engine.cache.hits": "Prescription-engine LRU hits since start.",
@@ -209,15 +193,6 @@ class PrescriptionServer(HTTPServer):
             if self.config.max_concurrency is not None
             else None
         )
-        self.batcher = (
-            MicroBatcher(
-                self.config.batch_window_ms,
-                max_size=self.config.batch_max_size,
-                on_batch=lambda n: self.metrics.observe("serve.batch_size", n),
-            )
-            if self.config.batch_window_ms > 0
-            else None
-        )
         self._pool = _WorkerPool(self.config.workers)
         self.draining = False
         self._inflight = 0
@@ -228,11 +203,6 @@ class PrescriptionServer(HTTPServer):
     def engine(self) -> PrescriptionEngine:
         """The engine of the *current* generation (changes on hot reload)."""
         return self.service.state.engine
-
-    @property
-    def single_dispatch(self):
-        """How single-individual prescribes run: batched or direct."""
-        return self.batcher.submit if self.batcher is not None else None
 
     # -- worker pool -------------------------------------------------------------
 
@@ -329,8 +299,6 @@ class PrescriptionServer(HTTPServer):
         return render_prometheus(self.metrics.snapshot(), help_texts=_HELP_TEXTS)
 
     def server_close(self) -> None:
-        if self.batcher is not None:
-            self.batcher.close()
         super().server_close()
         self._pool.close()
 
@@ -341,7 +309,7 @@ class PrescriptionServer(HTTPServer):
 
 
 class PrescriptionRequestHandler(BaseHTTPRequestHandler):
-    """Routes the /v1 surface (and its legacy aliases) to the service."""
+    """Routes the /v1 surface to the service."""
 
     server: PrescriptionServer
     protocol_version = "HTTP/1.1"
@@ -391,8 +359,6 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, str(value))
         if request_id is not None:
             self.send_header("X-Request-Id", request_id)
-        if getattr(self, "_deprecated", False):
-            self.send_header("Deprecation", "true")
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
@@ -420,8 +386,6 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if getattr(self, "_request_id", None) is not None:
             self.send_header("X-Request-Id", self._request_id)
-        if getattr(self, "_deprecated", False):
-            self.send_header("Deprecation", "true")
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
@@ -433,13 +397,9 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
         self._request_id = self.headers.get("X-Request-Id") or new_request_id()
         self._client_disconnected = False
         self._slot_held = False
-        self._canonical = LEGACY_ALIASES.get(self.path, self.path)
-        self._deprecated = self.path in LEGACY_ALIASES
         # One snapshot per request: a hot reload mid-request cannot hand
         # this handler a hybrid of two ruleset generations.
         self._snapshot = self.server.service.state
-        if self._deprecated:
-            self.server.metrics.inc("http.deprecated_path", 1, path=self.path)
         self.server.track_request(1)
         deadline = self.server.request_deadline_seconds
         header = self.headers.get("X-Request-Deadline-Ms")
@@ -468,7 +428,7 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
         returns.  A held slot is released in ``_finish_request``.
         """
         server = self.server
-        if self._canonical in _OPS_PATHS:
+        if self.path in _OPS_PATHS:
             return True
         if server.draining:
             self.close_connection = True
@@ -494,7 +454,7 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
 
     def _finish_request(self, method: str) -> None:
         duration = time.perf_counter() - self._started
-        path = self._canonical if self._canonical in _KNOWN_PATHS else "other"
+        path = self.path if self.path in _KNOWN_PATHS else "other"
         server = self.server
         if self._slot_held:
             server.release_slot()
@@ -575,24 +535,24 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
             try:
                 if not self._admit():
                     return
-                canonical = self._canonical
-                if canonical not in _KNOWN_PATHS:
+                path = self.path
+                if path not in _KNOWN_PATHS:
                     if method == "POST":
                         # The request body is never read on this path;
                         # close the connection so leftover bytes cannot
                         # corrupt a keep-alive peer.
                         self.close_connection = True
-                    raise ApiError.not_found(f"unknown path {self.path!r}")
-                allowed = "POST" if canonical in _V1_POST else "GET"
+                    raise ApiError.not_found(f"unknown path {path!r}")
+                allowed = "POST" if path in _V1_POST else "GET"
                 if method != allowed:
                     if method == "POST":
                         self.close_connection = True  # body left unread
                     raise ApiError(
                         405,
                         "method_not_allowed",
-                        f"{canonical} only supports {allowed}",
+                        f"{path} only supports {allowed}",
                     )
-                getattr(self, _HANDLERS[canonical])()
+                getattr(self, _HANDLERS[path])()
             except (BrokenPipeError, ConnectionResetError):
                 raise  # the outer handler owns disconnects, not the 500 path
             except _DeadlineExceeded:
@@ -615,7 +575,7 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
             self._finish_request(method)
 
     def _send_deadline_exceeded(self, method: str) -> None:
-        path = self._canonical if self._canonical in _KNOWN_PATHS else "other"
+        path = self.path if self.path in _KNOWN_PATHS else "other"
         self.server.metrics.inc(
             "http.deadline_exceeded", 1, method=method, path=path
         )
@@ -658,7 +618,6 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
             request,
             self._snapshot,
             deadline_check=self._check_deadline if self._deadline else None,
-            single_dispatch=self.server.single_dispatch,
         )
         self._check_deadline()
         self._send_json(200, response.to_payload())

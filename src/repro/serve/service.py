@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.serve.artifact import rule_to_dict
-from repro.serve.engine import Prescription, PrescriptionEngine
+from repro.serve.engine import PrescriptionEngine
 from repro.serve.registry import ArtifactRegistry
 from repro.serve.schemas import (
     ActivateRequest,
@@ -136,26 +136,19 @@ class PrescriptionService:
         request: PrescribeRequest,
         state: ServingState,
         deadline_check: Callable[[], None] | None = None,
-        single_dispatch: Callable[
-            [PrescriptionEngine, Mapping[str, object]], Prescription
-        ]
-        | None = None,
     ) -> PrescribeResponse | BatchPrescribeResponse:
         """Answer a parsed prescribe request against one state snapshot.
 
-        ``single_dispatch`` lets the transport route single-individual
-        requests through its micro-batcher; client-side batches run the
-        scalar loop with ``deadline_check`` between individuals so a huge
-        batch cannot blow through the request budget unbounded.
+        Client-side batches run the scalar loop with ``deadline_check``
+        between individuals so a huge batch cannot blow through the
+        request budget unbounded.
         """
         engine = state.engine
         if request.individual is not None:
-            if single_dispatch is not None:
-                prescription = single_dispatch(engine, request.individual)
-            else:
-                prescription = engine.prescribe(request.individual)
             return PrescribeResponse(
-                prescription=prescription_payload(prescription),
+                prescription=prescription_payload(
+                    engine.prescribe(request.individual)
+                ),
                 ruleset_version=state.version,
             )
         prescriptions = []

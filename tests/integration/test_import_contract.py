@@ -65,7 +65,6 @@ engine = PrescriptionEngine.from_artifact(registry.get(registry.active_version()
 single = engine.prescribe(individual)
 assert single.rule_index is not None
 assert len(engine.prescribe_batch([individual] * 3)) == 3
-assert len(engine.prescribe_profiles([individual, dict(individual, Age=20.0)])) == 2
 
 # The full tier, as `repro serve --artifact-dir` runs it.
 server = make_server(config=ServeConfig(port=0, artifact_dir=registry_dir))

@@ -160,3 +160,29 @@ def test_adjustment_falls_back_to_parents_union():
     )
     evaluator = _evaluator_on(dag, table)
     assert evaluator.adjustment_for(("Gender", "Training")) == ("City",)
+
+
+def test_full_side_shares_the_level_stack():
+    """A side holding every covered row reads the level's treated stack
+    without copying it; its CATE cache key still names the side."""
+    import numpy as np
+
+    from repro.parallel.cache import EstimationCache
+    from repro.rules.protected import ProtectedGroup
+
+    evaluator = RuleEvaluator(
+        build_toy_table(n=3000, seed=2),
+        "Income",
+        build_toy_dag(),
+        ProtectedGroup(Pattern.of(Gender="Female"), name="women"),
+        cache=EstimationCache(),
+    )
+    context = evaluator.context(Pattern.of(Gender="Female"))
+    assert context.protected_table is context.subtable
+    assert context.non_protected_table is None
+    work = context.begin_level([Pattern.of(Training="Yes")])
+    evaluator.estimate_requests(work.requests)
+    (full_side,) = work.followup(alpha=None)
+    assert full_side.table is context.subtable
+    assert np.shares_memory(full_side.treated_rows, work._treated_rows)
+    assert full_side.digest_parts[0] == "rows-sub"

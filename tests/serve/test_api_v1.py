@@ -1,8 +1,9 @@
-"""The /v1 API surface: versioned routes, deprecated aliases (byte-identical),
-the uniform error envelope, and method handling."""
+"""The /v1 API surface: versioned routes, the uniform error envelope, and
+method handling.  The unversioned pre-/v1 paths are gone: they answer 404."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -11,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro.serve.engine import PrescriptionEngine
-from repro.serve.http import LEGACY_ALIASES, make_server
+from repro.serve.http import make_server
 
 US_ROW = {"Country": "US", "Age": 35.0, "Gender": "M"}
 
@@ -45,11 +46,6 @@ def _request(
             return response.status, response.read(), dict(response.headers)
     except urllib.error.HTTPError as error:
         return error.code, error.read(), dict(error.headers)
-
-
-def _counter_total(server, name: str) -> float:
-    counter = server.metrics.snapshot()["counters"].get(name)
-    return sum(counter["values"].values()) if counter else 0.0
 
 
 # -- /v1 surface ---------------------------------------------------------------
@@ -108,74 +104,54 @@ def test_v1_artifacts_single_mode_is_read_only(live_server):
     assert json.loads(body)["error"]["code"] == "bad_request"
 
 
-# -- deprecated aliases --------------------------------------------------------
-
-
-def test_alias_bodies_are_byte_identical_to_v1(live_server):
-    """Same handler, same request id => byte-for-byte identical bodies."""
-    _, base = live_server
-    prescribe_body = json.dumps({"individual": US_ROW}).encode()
-    for alias, canonical in sorted(LEGACY_ALIASES.items()):
-        if canonical == "/v1/metrics":
-            continue  # counter values legitimately differ between scrapes
-        kwargs = (
-            {"data": prescribe_body, "headers": {"X-Request-Id": "pin-1"}}
-            if canonical == "/v1/prescribe"
-            else {"headers": {"X-Request-Id": "pin-1"}}
-        )
-        status_a, body_a, headers_a = _request(base + alias, **kwargs)
-        status_v1, body_v1, headers_v1 = _request(base + canonical, **kwargs)
-        assert status_a == status_v1 == 200
-        assert body_a == body_v1, f"{alias} diverged from {canonical}"
-        assert headers_a.get("Deprecation") == "true"
-        assert "Deprecation" not in headers_v1
-
-
-def test_alias_metrics_document_matches_v1_shape(live_server):
-    _, base = live_server
-    status, body, headers = _request(base + "/metrics")
-    assert status == 200
-    assert headers.get("Deprecation") == "true"
-    assert b"# TYPE http_requests_total counter" in body or b"engine_rules" in body
-
-
-def test_alias_errors_share_the_envelope(live_server):
-    _, base = live_server
-    for path in ("/prescribe", "/v1/prescribe"):
-        status, body, __ = _request(
-            base + path,
-            data=json.dumps({"wrong": 1}).encode(),
-            headers={"Content-Type": "application/json", "X-Request-Id": "pin-2"},
-        )
-        assert status == 400
-        payload = json.loads(body)
-        assert payload["error"]["code"] == "bad_request"
-        assert payload["error"]["request_id"] == "pin-2"
-
-
-def test_deprecated_path_counter_increments(live_server):
-    server, base = live_server
-    before = _counter_total(server, "http.deprecated_path")
-    _request(base + "/health")
-    _request(base + "/rules")
-    _request(base + "/v1/health")  # canonical: must NOT count
-    assert _counter_total(server, "http.deprecated_path") == before + 2
-    values = server.metrics.snapshot()["counters"]["http.deprecated_path"]["values"]
-    assert "path=/health" in values and "path=/rules" in values
-
-
 # -- error envelope and methods ------------------------------------------------
 
 
-def test_unknown_path_envelope(live_server):
-    _, base = live_server
-    status, body, __ = _request(base + "/v1/nope")
-    assert status == 404
-    payload = json.loads(body)
+@pytest.mark.parametrize(
+    ("method", "path"),
+    [
+        ("GET", "/v1/nope"),
+        ("GET", "/health"),
+        ("GET", "/rules"),
+        ("GET", "/metrics"),
+        ("POST", "/prescribe"),
+    ],
+    ids=["v1-nope", "health", "rules", "metrics", "prescribe"],
+)
+def test_unknown_path_envelope(live_server, method, path):
+    server, _ = live_server
+    body = json.dumps({"individual": US_ROW}).encode() if method == "POST" else None
+    # http.client keeps the connection alive unless the server closes it
+    # (urllib asks for ``Connection: close`` on every request).
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    try:
+        connection.request(
+            method, path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+    finally:
+        connection.close()
+    assert response.status == 404
     assert set(payload) == {"error"}
     assert set(payload["error"]) == {"code", "message", "request_id"}
     assert payload["error"]["code"] == "not_found"
-    assert "/v1/nope" in payload["error"]["message"]
+    assert repr(path) in payload["error"]["message"]
+    # A POST body to an unknown path is never read, so its connection closes.
+    assert (response.getheader("Connection") == "close") == (method == "POST")
+
+
+def test_error_envelope_echoes_pinned_request_id(live_server):
+    _, base = live_server
+    status, body, __ = _request(
+        base + "/v1/prescribe",
+        data=json.dumps({"wrong": 1}).encode(),
+        headers={"Content-Type": "application/json", "X-Request-Id": "pin-2"},
+    )
+    assert status == 400
+    payload = json.loads(body)
+    assert payload["error"]["code"] == "bad_request"
+    assert payload["error"]["request_id"] == "pin-2"
 
 
 def test_wrong_method_is_405_not_404(live_server):

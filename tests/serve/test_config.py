@@ -14,7 +14,6 @@ def test_defaults_are_valid():
     assert config.port == 8080
     assert config.workers == 8
     assert config.max_concurrency == 64
-    assert config.batch_window_ms == 0.0
     assert config.artifact_dir is None
     config.validate()  # idempotent
 
@@ -30,8 +29,6 @@ def test_defaults_are_valid():
         {"request_deadline_seconds": 0.0},
         {"request_deadline_seconds": -1.0},
         {"drain_timeout_seconds": 0.0},
-        {"batch_window_ms": -0.5},
-        {"batch_max_size": 0},
         {"cache_size": -1},
     ],
 )
@@ -52,8 +49,6 @@ def test_from_environment_reads_repro_serve_vars(monkeypatch):
     monkeypatch.setenv("REPRO_SERVE_WORKERS", "4")
     monkeypatch.setenv("REPRO_SERVE_MAX_CONCURRENCY", "0")  # 0 = unbounded
     monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "250")
-    monkeypatch.setenv("REPRO_SERVE_BATCH_WINDOW_MS", "2.5")
-    monkeypatch.setenv("REPRO_SERVE_BATCH_MAX", "16")
     monkeypatch.setenv("REPRO_SERVE_CACHE_SIZE", "33")
     monkeypatch.setenv("REPRO_SERVE_ARTIFACT_DIR", "/tmp/artifacts")
     config = ServeConfig.from_environment()
@@ -62,8 +57,6 @@ def test_from_environment_reads_repro_serve_vars(monkeypatch):
     assert config.workers == 4
     assert config.max_concurrency is None
     assert config.request_deadline_seconds == 0.25
-    assert config.batch_window_ms == 2.5
-    assert config.batch_max_size == 16
     assert config.cache_size == 33
     assert config.artifact_dir == "/tmp/artifacts"
 
@@ -75,8 +68,6 @@ def test_from_environment_defaults_without_vars(monkeypatch):
         "REPRO_SERVE_WORKERS",
         "REPRO_SERVE_MAX_CONCURRENCY",
         "REPRO_SERVE_DEADLINE_MS",
-        "REPRO_SERVE_BATCH_WINDOW_MS",
-        "REPRO_SERVE_BATCH_MAX",
         "REPRO_SERVE_CACHE_SIZE",
         "REPRO_SERVE_ARTIFACT_DIR",
     ):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.rules.ruleset import RuleSet
 from repro.serve.artifact import ServingArtifact
 from repro.serve.engine import PrescriptionEngine
 from repro.tabular.schema import AttributeKind
+from repro.utils.errors import ServeError
 
 from tests.serve.conftest import random_rules, random_table
 
@@ -79,6 +82,25 @@ def test_cache_key_ignores_irrelevant_attributes(toy_ruleset, serve_protected):
     engine.prescribe({**base, "FavouriteColour": "teal"})
     engine.prescribe({**base, "FavouriteColour": "mauve"})
     assert engine.cache_info()["hits"] == 1
+
+
+def test_cache_keys_an_absent_attribute_apart_from_null(
+    toy_ruleset, serve_protected
+):
+    """A cached answer for ``None`` never stands in for a missing attribute."""
+    cached = PrescriptionEngine(toy_ruleset, protected=serve_protected)
+    uncached = PrescriptionEngine(
+        toy_ruleset, protected=serve_protected, cache_size=0
+    )
+    null_country = {"Country": None, "Age": 35.0, "Gender": "M"}
+    assert cached.prescribe(null_country) == uncached.prescribe(null_country)
+    for engine in (uncached, cached):
+        with pytest.raises(ServeError, match=r"missing attributes: \['Country'\]"):
+            engine.prescribe({"Age": 35.0, "Gender": "M"})
+
+    null_gender = {"Country": "US", "Age": 35.0, "Gender": None}
+    assert cached.prescribe(null_gender).protected is False
+    assert cached.prescribe({"Country": "US", "Age": 35.0}).protected is None
 
 
 def test_cache_disabled(toy_ruleset):

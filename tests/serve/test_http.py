@@ -52,7 +52,7 @@ def _post(url: str, payload: object) -> tuple[int, dict]:
 
 
 def test_health(live_server):
-    status, payload = _get(live_server + "/health")
+    status, payload = _get(live_server + "/v1/health")
     assert status == 200
     assert payload["status"] == "ok"
     assert payload["n_rules"] == 3
@@ -60,7 +60,7 @@ def test_health(live_server):
 
 
 def test_rules_lists_the_served_ruleset(live_server, toy_ruleset):
-    status, payload = _get(live_server + "/rules")
+    status, payload = _get(live_server + "/v1/rules")
     assert status == 200
     assert payload["n_rules"] == len(toy_ruleset)
     assert payload["rules"][0]["utility"] == 5.0
@@ -69,7 +69,7 @@ def test_rules_lists_the_served_ruleset(live_server, toy_ruleset):
 
 def test_prescribe_single(live_server):
     status, payload = _post(
-        live_server + "/prescribe",
+        live_server + "/v1/prescribe",
         {"individual": {"Country": "US", "Age": 35.0, "Gender": "M"}},
     )
     assert status == 200
@@ -85,7 +85,7 @@ def test_prescribe_batch(live_server):
         {"Country": "DE", "Age": 20.0, "Gender": "F"},
     ]
     status, payload = _post(
-        live_server + "/prescribe", {"individuals": individuals}
+        live_server + "/v1/prescribe", {"individuals": individuals}
     )
     assert status == 200
     assert payload["count"] == 2
@@ -98,7 +98,7 @@ def test_prescribe_batch(live_server):
 
 def test_prescribe_missing_attributes_is_400(live_server):
     status, payload = _post(
-        live_server + "/prescribe", {"individual": {"Country": "US"}}
+        live_server + "/v1/prescribe", {"individual": {"Country": "US"}}
     )
     assert status == 400
     assert payload["error"]["code"] == "bad_request"
@@ -107,7 +107,7 @@ def test_prescribe_missing_attributes_is_400(live_server):
 
 def test_prescribe_malformed_json_is_400(live_server):
     request = urllib.request.Request(
-        live_server + "/prescribe",
+        live_server + "/v1/prescribe",
         data=b"{nope",
         headers={"Content-Type": "application/json"},
     )
@@ -119,7 +119,7 @@ def test_prescribe_malformed_json_is_400(live_server):
 
 
 def test_prescribe_requires_individuals_key(live_server):
-    status, payload = _post(live_server + "/prescribe", {"wrong": 1})
+    status, payload = _post(live_server + "/v1/prescribe", {"wrong": 1})
     assert status == 400
     assert "individual" in payload["error"]["message"]
 
@@ -139,7 +139,7 @@ def test_post_unknown_path_closes_keepalive_connection(live_server):
     response.read()
     connection.close()
     # A fresh connection still serves normally.
-    status, __ = _get(live_server + "/health")
+    status, __ = _get(live_server + "/v1/health")
     assert status == 200
 
 
@@ -149,7 +149,7 @@ def test_non_integer_content_length_is_400(live_server):
     host, port = live_server.removeprefix("http://").split(":")
     with socket.create_connection((host, int(port)), timeout=5) as sock:
         sock.sendall(
-            b"POST /prescribe HTTP/1.1\r\n"
+            b"POST /v1/prescribe HTTP/1.1\r\n"
             b"Host: test\r\nContent-Length: abc\r\n\r\n"
         )
         response = sock.recv(65536).decode()
@@ -174,7 +174,7 @@ def test_oversized_body_is_rejected_with_400(live_server):
     host, port = live_server.removeprefix("http://").split(":")
     with socket.create_connection((host, int(port)), timeout=5) as sock:
         sock.sendall(
-            b"POST /prescribe HTTP/1.1\r\n"
+            b"POST /v1/prescribe HTTP/1.1\r\n"
             b"Host: test\r\n"
             b"Content-Type: application/json\r\n"
             + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
@@ -198,7 +198,7 @@ def test_oversized_batch_round_trips_under_the_limit(live_server):
         {"Country": "US", "Age": 35.0, "Gender": "M"} for __ in range(500)
     ]
     status, payload = _post(
-        live_server + "/prescribe", {"individuals": individuals}
+        live_server + "/v1/prescribe", {"individuals": individuals}
     )
     assert status == 200
     assert payload["count"] == 500
@@ -206,7 +206,7 @@ def test_oversized_batch_round_trips_under_the_limit(live_server):
 
 def test_empty_body_is_400(live_server):
     request = urllib.request.Request(
-        live_server + "/prescribe", data=b"", headers={}
+        live_server + "/v1/prescribe", data=b"", headers={}
     )
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request)
@@ -231,7 +231,7 @@ def test_unknown_ruleset_version_fails_at_load(toy_ruleset, serve_protected):
 
 def test_individuals_must_be_objects(live_server):
     status, payload = _post(
-        live_server + "/prescribe", {"individuals": ["not-an-object"]}
+        live_server + "/v1/prescribe", {"individuals": ["not-an-object"]}
     )
     assert status == 400
     assert "list of JSON objects" in payload["error"]["message"]

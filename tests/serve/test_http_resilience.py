@@ -96,7 +96,7 @@ def test_capacity_overflow_rejects_with_503_retry_after(gated_engine):
 
     def slow_request():
         slow_result["response"] = _post(
-            base + "/prescribe", {"individual": US_ROW}
+            base + "/v1/prescribe", {"individual": US_ROW}
         )
 
     worker = threading.Thread(target=slow_request)
@@ -105,14 +105,14 @@ def test_capacity_overflow_rejects_with_503_retry_after(gated_engine):
         assert gated_engine.entered.wait(timeout=10.0)
         # The only slot is held by the in-flight request: reject, don't queue.
         status, payload, headers = _post(
-            base + "/prescribe", {"individual": US_ROW}
+            base + "/v1/prescribe", {"individual": US_ROW}
         )
         assert status == 503
         assert payload["error"]["code"] == "over_capacity"
         assert "capacity" in payload["error"]["message"]
         assert headers.get("Retry-After") == "1"
         # Ops endpoints bypass the gate: reachable exactly when overloaded.
-        assert _get(base + "/health")[0] == 200
+        assert _get(base + "/v1/health")[0] == 200
         assert _counter_total(server, "http.backpressure_rejections") == 1.0
     finally:
         gated_engine.release.set()
@@ -150,7 +150,7 @@ def live_server(toy_ruleset, serve_protected):
 def test_request_deadline_header_maps_to_504(live_server):
     server, base = live_server
     request = urllib.request.Request(
-        base + "/prescribe",
+        base + "/v1/prescribe",
         data=json.dumps({"individual": US_ROW}).encode("utf-8"),
         headers={
             "Content-Type": "application/json",
@@ -179,7 +179,7 @@ def test_server_level_deadline_bounds_batches(toy_ruleset, serve_protected):
     thread = _serve(server)
     try:
         status, payload, _ = _post(
-            f"http://127.0.0.1:{server.port}/prescribe",
+            f"http://127.0.0.1:{server.port}/v1/prescribe",
             {"individuals": [US_ROW] * 50},
         )
         assert status == 504
@@ -193,7 +193,7 @@ def test_server_level_deadline_bounds_batches(toy_ruleset, serve_protected):
 def test_generous_deadline_does_not_interfere(live_server):
     _, base = live_server
     request = urllib.request.Request(
-        base + "/prescribe",
+        base + "/v1/prescribe",
         data=json.dumps({"individuals": [US_ROW, US_ROW]}).encode("utf-8"),
         headers={
             "Content-Type": "application/json",
@@ -216,7 +216,7 @@ def test_graceful_shutdown_drains_inflight_and_rejects_new(gated_engine):
 
     def slow_request():
         slow_result["response"] = _post(
-            base + "/prescribe", {"individual": US_ROW}
+            base + "/v1/prescribe", {"individual": US_ROW}
         )
 
     worker = threading.Thread(target=slow_request)
@@ -227,13 +227,13 @@ def test_graceful_shutdown_drains_inflight_and_rejects_new(gated_engine):
         # The accept loop keeps answering during the drain: new work gets
         # an honest 503, health reports the draining state.
         status, payload, headers = _post(
-            base + "/prescribe", {"individual": US_ROW}
+            base + "/v1/prescribe", {"individual": US_ROW}
         )
         assert status == 503
         assert payload["error"]["code"] == "draining"
         assert "shutting down" in payload["error"]["message"]
         assert headers.get("Retry-After") == "1"
-        status, payload = _get(base + "/health")
+        status, payload = _get(base + "/v1/health")
         assert status == 200 and payload["draining"] is True
     finally:
         gated_engine.release.set()
@@ -257,7 +257,7 @@ def test_client_disconnect_is_counted_not_a_500(gated_engine):
         body = json.dumps({"individual": US_ROW}).encode()
         sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
         sock.sendall(
-            b"POST /prescribe HTTP/1.1\r\n"
+            b"POST /v1/prescribe HTTP/1.1\r\n"
             b"Host: test\r\n"
             b"Content-Type: application/json\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n"

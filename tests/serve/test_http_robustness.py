@@ -60,7 +60,7 @@ def test_body_delivered_in_two_tcp_segments(live_server):
         {"individual": {"Country": "US", "Age": 35.0, "Gender": "M"}}
     ).encode()
     head = (
-        b"POST /prescribe HTTP/1.1\r\nHost: test\r\n"
+        b"POST /v1/prescribe HTTP/1.1\r\nHost: test\r\n"
         b"Content-Type: application/json\r\nConnection: close\r\n"
         + f"Content-Length: {len(body)}\r\n\r\n".encode()
     )
@@ -79,7 +79,7 @@ def test_truncated_body_is_400_and_closes_connection(live_server):
     """EOF before Content-Length bytes arrive is a client error, not a hang."""
     body = json.dumps({"individual": {"Country": "US"}}).encode()
     head = (
-        b"POST /prescribe HTTP/1.1\r\nHost: test\r\n"
+        b"POST /v1/prescribe HTTP/1.1\r\nHost: test\r\n"
         b"Content-Type: application/json\r\n"
         + f"Content-Length: {len(body)}\r\n\r\n".encode()
     )
@@ -147,9 +147,9 @@ def _boom_rules(state):
 
 
 def test_crashed_get_route_returns_json_500(live_server):
-    live_server.service.rules = _boom_rules  # the /rules service call crashes
+    live_server.service.rules = _boom_rules  # the /v1/rules service call crashes
     with socket.create_connection(("127.0.0.1", live_server.port), timeout=5) as sock:
-        sock.sendall(b"GET /rules HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        sock.sendall(b"GET /v1/rules HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
         response = _drain(sock)
     status_line, _, rest = response.partition("\r\n")
     assert status_line == "HTTP/1.1 500 Internal Server Error"

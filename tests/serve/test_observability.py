@@ -1,4 +1,4 @@
-"""Serving-tier observability: /metrics, request ids, structured logs."""
+"""Serving-tier observability: /v1/metrics, request ids, structured logs."""
 
 from __future__ import annotations
 
@@ -45,13 +45,12 @@ def _log_events(stream: io.StringIO, event: str) -> list[dict]:
 
 def test_metrics_exposition_after_traffic(observed_server):
     base, _ = observed_server
-    _get(base + "/health")
-    _get(base + "/health")
-    # Alias traffic reports under the canonical /v1 label.
+    _get(base + "/v1/health")
+    _get(base + "/v1/health")
     want = 'http_requests_total{method="GET",path="/v1/health",status="200"} 2'
 
     def scrape():
-        response, body = _get(base + "/metrics")
+        response, body = _get(base + "/v1/metrics")
         assert response.status == 200
         assert response.headers["Content-Type"].startswith("text/plain")
         text = body.decode("utf-8")
@@ -77,7 +76,7 @@ def test_unknown_paths_fold_into_other_label(observed_server):
     want = 'http_requests_total{method="GET",path="other",status="404"} 3'
     text = wait_until(
         lambda: next(
-            (t for t in [_get(base + "/metrics")[1].decode("utf-8")] if want in t),
+            (t for t in [_get(base + "/v1/metrics")[1].decode("utf-8")] if want in t),
             "",
         )
     )
@@ -87,19 +86,19 @@ def test_unknown_paths_fold_into_other_label(observed_server):
 
 def test_request_id_minted_and_echoed(observed_server):
     base, _ = observed_server
-    response, body = _get(base + "/health")
+    response, body = _get(base + "/v1/health")
     minted = response.headers["X-Request-Id"]
     assert minted and len(minted) == 12
     assert json.loads(body)["request_id"] == minted
 
-    response, body = _get(base + "/health", headers={"X-Request-Id": "abc-123"})
+    response, body = _get(base + "/v1/health", headers={"X-Request-Id": "abc-123"})
     assert response.headers["X-Request-Id"] == "abc-123"
     assert json.loads(body)["request_id"] == "abc-123"
 
 
 def test_access_log_lines_correlate_with_responses(observed_server):
     base, stream = observed_server
-    response, _ = _get(base + "/health", headers={"X-Request-Id": "corr-1"})
+    response, _ = _get(base + "/v1/health", headers={"X-Request-Id": "corr-1"})
     assert response.status == 200
     events = wait_until(lambda: _log_events(stream, "http.request"))
     assert len(events) == 1
@@ -107,7 +106,7 @@ def test_access_log_lines_correlate_with_responses(observed_server):
     assert record["component"] == "serve"
     assert record["request_id"] == "corr-1"
     assert record["method"] == "GET"
-    assert record["path"] == "/health"
+    assert record["path"] == "/v1/health"
     assert record["status"] == 200
     assert record["duration_ms"] >= 0
     assert "ts" in record and "client" in record
@@ -120,7 +119,7 @@ def test_quiet_server_logs_nothing(toy_ruleset, serve_protected):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        _get(f"http://127.0.0.1:{server.port}/health")
+        _get(f"http://127.0.0.1:{server.port}/v1/health")
     finally:
         server.shutdown()
         server.server_close()
@@ -132,7 +131,7 @@ def test_quiet_server_logs_nothing(toy_ruleset, serve_protected):
 def test_prescribe_latency_lands_in_the_histogram(observed_server):
     base, stream = observed_server
     request = urllib.request.Request(
-        base + "/prescribe",
+        base + "/v1/prescribe",
         data=json.dumps({"individual": {"Country": "US", "Age": 35.0}}).encode(),
         headers={"Content-Type": "application/json"},
     )
@@ -142,11 +141,11 @@ def test_prescribe_latency_lands_in_the_histogram(observed_server):
     want = ('http_requests_total{method="POST",path="/v1/prescribe",status="200"} 1')
     text = wait_until(
         lambda: next(
-            (t for t in [_get(base + "/metrics")[1].decode("utf-8")] if want in t),
+            (t for t in [_get(base + "/v1/metrics")[1].decode("utf-8")] if want in t),
             "",
         )
     )
     assert want in text
     assert 'http_request_seconds_count{method="POST",path="/v1/prescribe"} 1' in text
     events = wait_until(lambda: _log_events(stream, "http.request"))
-    assert any(r["path"] == "/prescribe" and r["status"] == 200 for r in events)
+    assert any(r["path"] == "/v1/prescribe" and r["status"] == 200 for r in events)
