@@ -1,10 +1,11 @@
 """Speedup curves for the parallel treatment-mining executor.
 
-Runs one FairCap configuration serially, then under the process (and
-optionally thread) executor at increasing worker counts, and reports the
-wall-clock speedup curve.  Every parallel run's ruleset is differentially
-checked against the serial reference — a speedup only counts if the answer
-is identical (see the determinism contract in ``repro.parallel``).
+Runs one FairCap configuration serially, then at each requested worker
+count (one worker runs in-process, more run a process pool of that many
+workers, as ``--workers`` does on the CLI), and reports the wall-clock
+speedup curve.  Every run's ruleset is differentially checked against the
+serial reference — a speedup only counts if the answer is identical (see
+the determinism contract in ``repro.parallel``).
 
 Usage::
 
@@ -81,9 +82,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="row count (default: experiment-scale setting)")
     parser.add_argument("--workers", type=_parse_workers, default=[1, 2, 4, 8],
                         help="comma-separated worker counts (default 1,2,4,8)")
-    parser.add_argument("--executor", default="process",
-                        choices=["process", "thread"],
-                        help="parallel strategy to sweep (default process)")
     parser.add_argument("--variant", default="No constraints",
                         help="problem variant to mine (default: the slowest one)")
     parser.add_argument("--smoke", action="store_true",
@@ -106,27 +104,26 @@ def main(argv: list[str] | None = None) -> int:
 
     lines = [
         f"bench_parallel: dataset={args.dataset} rows={bundle.table.n_rows} "
-        f"variant={args.variant!r} executor={args.executor} "
-        f"cpus={os.cpu_count()}",
+        f"variant={args.variant!r} cpus={os.cpu_count()}",
         f"env {json.dumps(environment(), sort_keys=True)}",
         "",
         f"{'executor':<12} {'workers':>7} {'seconds':>9} {'speedup':>9}  identical",
     ]
     print(*lines[:2], sep="\n")
 
-    serial_seconds, reference = _run_once(config, bundle, make_executor("serial"))
+    serial_seconds, reference = _run_once(config, bundle, make_executor(1))
     lines.append(f"{'serial':<12} {1:>7} {serial_seconds:>9.2f} {1.0:>8.2f}x  (reference)")
     print(lines[-1])
 
     best_speedup = 0.0
     for n_workers in args.workers:
-        executor = make_executor(args.executor, n_workers)
+        executor = make_executor(n_workers)
         seconds, result = _run_once(config, bundle, executor)
-        _check_identical(reference, result, f"{args.executor}[{n_workers}]")
+        _check_identical(reference, result, f"{executor.kind}[{n_workers}]")
         speedup = serial_seconds / seconds if seconds > 0 else float("inf")
         best_speedup = max(best_speedup, speedup)
         lines.append(
-            f"{args.executor:<12} {n_workers:>7} {seconds:>9.2f} {speedup:>8.2f}x  yes"
+            f"{executor.kind:<12} {n_workers:>7} {seconds:>9.2f} {speedup:>8.2f}x  yes"
         )
         print(lines[-1])
 

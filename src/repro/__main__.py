@@ -39,12 +39,11 @@ def _settings(args: argparse.Namespace):
     seed = args.seed if args.seed is not None else base.seed
     n_workers = getattr(args, "workers", None)
     n_workers = n_workers if n_workers is not None else base.n_workers
-    executor = getattr(args, "executor", None) or base.executor
     cache_size = getattr(args, "cache_size", None)
     cache_size = cache_size if cache_size is not None else base.cache_size
     return ExperimentSettings(
         so_n=so_n, german_n=german_n, seed=seed,
-        n_workers=n_workers, executor=executor, cache_size=cache_size,
+        n_workers=n_workers, cache_size=cache_size,
         n_override=args.n,
     )
 
@@ -234,7 +233,7 @@ def _serve_config(args: argparse.Namespace):
     if args.max_concurrency is not None:
         overrides["max_concurrency"] = args.max_concurrency or None
     if args.request_deadline_ms is not None:
-        overrides["request_deadline_seconds"] = args.request_deadline_ms / 1e3
+        overrides["request_deadline_seconds"] = args.request_deadline_ms / 1e3 or None
     if args.artifact_dir is not None:
         overrides["artifact_dir"] = args.artifact_dir
     return ServeConfig.from_environment().with_overrides(**overrides)
@@ -324,15 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_worker_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
             "--workers", type=int, default=None, metavar="N",
-            help="treatment-mining worker count (0 = all CPUs; default 1). "
-                 "Results are identical for any worker count — parallelism "
-                 "only changes runtime (see repro.parallel).",
-        )
-        cmd.add_argument(
-            "--executor", default=None,
-            choices=["auto", "serial", "thread", "process"],
-            help="execution strategy behind --workers "
-                 "(auto = process when --workers != 1)",
+            help="treatment-mining worker count: 0 = all visible CPUs, "
+                 "1 = in-process (default), N > 1 = a process pool of N "
+                 "workers. Results are identical for any worker count — "
+                 "parallelism only changes runtime (see repro.parallel).",
         )
         cmd.add_argument(
             "--cache-size", type=int, default=None, metavar="N",
@@ -439,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "503 + Retry-After (0 = unbounded; default 64)")
     serve.add_argument("--request-deadline-ms", type=float, default=None,
                        help="per-request wall-clock budget; late requests "
-                            "get 504 (default: none)")
+                            "get 504 (0 = no deadline; default: none)")
 
     sub.add_parser("list-datasets", help="list the bundled datasets")
     return parser

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from repro.causal.estimators import LinearAdjustmentEstimator, StratifiedEstimator
 from repro.core.variants import ProblemVariant
 from repro.parallel.cache import EstimationCache
-from repro.parallel.executors import EXECUTOR_KINDS, make_executor
+from repro.parallel.executors import make_executor
 from repro.parallel.resilience import FaultPlan
 from repro.utils.errors import ConfigError
 
@@ -65,14 +65,13 @@ class FairCapConfig:
         Optional explicit attribute subsets (default: the schema's immutable
         and mutable attributes respectively); used by the Figure 5
         attribute-count sweep.
-    executor:
-        Step-2 execution strategy: ``"serial"`` (reference), ``"thread"``,
-        or ``"process"`` (chunked work-stealing across grouping patterns).
-        Results are bit-for-bit identical across strategies and worker
-        counts — see the determinism contract in :mod:`repro.parallel`.
     n_workers:
-        Worker count for the parallel executors (``0`` = all visible CPUs;
-        ignored by the serial executor).
+        Step-2 worker count, the only parallelism setting: ``1`` (default)
+        runs the in-process serial loop, ``N > 1`` a process pool of ``N``
+        workers (chunked work-stealing across grouping patterns), and ``0``
+        all visible CPUs (serial when that is one).  Results are
+        bit-for-bit identical for every worker count — see the determinism
+        contract in :mod:`repro.parallel`.
     cache_size:
         Entry bound of the content-addressed CATE memo
         (:class:`~repro.parallel.cache.EstimationCache`); ``0`` disables
@@ -161,8 +160,7 @@ class FairCapConfig:
     prune_non_causal: bool = True
     grouping_attributes: tuple[str, ...] | None = None
     intervention_attributes: tuple[str, ...] | None = None
-    executor: str = "serial"
-    n_workers: int = 0
+    n_workers: int = 1
     # Sized to hold the full working set of a laptop-scale experiment run
     # (a 6,000-row Table 4 variant estimates ~5-20k CATEs; entries are a few
     # hundred bytes each) so cross-variant reuse survives the LRU.
@@ -205,11 +203,6 @@ class FairCapConfig:
             raise ConfigError("objective weights must be non-negative")
         if self.max_rules < 1:
             raise ConfigError("max_rules must be >= 1")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigError(
-                f"unknown executor {self.executor!r}; "
-                f"choose from {list(EXECUTOR_KINDS)}"
-            )
         if self.n_workers < 0:
             raise ConfigError("n_workers must be >= 0 (0 = all visible CPUs)")
         if self.cache_size < 0:
@@ -224,8 +217,8 @@ class FairCapConfig:
         return ESTIMATORS[self.estimator]()
 
     def make_executor(self):
-        """Instantiate the configured Step-2 executor."""
-        return make_executor(self.executor, self.n_workers or None)
+        """Instantiate the Step-2 executor for ``n_workers``."""
+        return make_executor(self.n_workers)
 
     def make_cache(self) -> EstimationCache | None:
         """Instantiate the CATE memo (``None`` when ``cache_size`` is 0)."""

@@ -104,12 +104,14 @@ class FairCap:
     ----------
     config:
         Algorithm tunables (defaults to :class:`FairCapConfig`), including
-        the Step-2 execution strategy (``executor`` / ``n_workers``) and the
-        CATE memo bound (``cache_size``).
+        the Step-2 worker count (``n_workers``) and the CATE memo bound
+        (``cache_size``).
     executor:
         Optional pre-built :mod:`repro.parallel` executor; overrides the
-        config's ``executor``/``n_workers`` spelling.  Results are identical
-        for every executor and worker count (determinism contract).
+        config's ``n_workers``.  Only a process pool of more than one
+        worker fans Step 2 out; anything else runs the in-process loop.
+        Results are identical for every executor and worker count
+        (determinism contract).
     cache:
         Optional :class:`~repro.parallel.cache.EstimationCache` shared
         across runs — e.g. one cache for all nine variants of a Table 4

@@ -24,12 +24,12 @@ scalar per-candidate path (``batch_estimation=False`` or the stratified
 estimator) is the differential reference.  The paper's optimisation (i) —
 discarding mutable attributes with no causal path to the outcome — is
 applied when building the item list; optimisation (ii) (parallelism across
-grouping patterns) is available through :mod:`repro.parallel` — pass an
-executor to :func:`mine_interventions_for_groups` (or set
-``FairCapConfig.executor`` / ``n_workers``).  The serial executor remains
-the default so the Figure 3/4 runtime shapes reflect algorithmic work
-rather than process-pool noise, and the differential suite guarantees all
-executors return identical rules.
+grouping patterns) is the process pool of :mod:`repro.parallel`, chosen by
+``FairCapConfig.n_workers`` (or an executor passed to
+:func:`mine_interventions_for_groups`).  One worker, the default, runs the
+in-process loop so the Figure 3/4 runtime shapes reflect algorithmic work
+rather than process-pool noise, and the differential suite guarantees any
+worker count returns identical rules.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.mining.apriori import build_items
 from repro.mining.lattice import LatticeNode, traverse_lattice
 from repro.mining.patterns import Pattern
 from repro.obs.runtime import current as obs_current
+from repro.parallel.executors import ProcessExecutor
 from repro.rules.rule import PrescriptionRule
 from repro.rules.utility import (
     GroupEvaluationContext,
@@ -197,7 +198,6 @@ def mine_intervention(
     context: GroupEvaluationContext,
     items: list[Pattern],
     config: FairCapConfig,
-    lattice_executor=None,
 ) -> InterventionMiningResult:
     """Run the Step-2 lattice search for one grouping pattern to completion.
 
@@ -211,35 +211,24 @@ def mine_intervention(
     config:
         Algorithm configuration; ``config.variant.fairness`` selects the
         benefit function.
-    lattice_executor:
-        Optional in-process executor (serial/thread) used to evaluate each
-        lattice level's candidates concurrently on the scalar path; results
-        are identical to the serial traversal (see
-        :func:`repro.mining.lattice.traverse_lattice`).  Moot under the
-        batched engine, which already consumes a level at a time.
     """
-    evaluate = evaluate_many = None
     if batched_path_available(config, context.evaluator):
         # Batched FWL engine: one estimation pass per lattice level
         # instead of one OLS per candidate (repro.causal.batch).
         alpha = config.significance_alpha
 
-        def evaluate_many(patterns: list[Pattern]) -> list[tuple[bool, PrescriptionRule]]:
+        def evaluate_level(patterns: list[Pattern]) -> list[tuple[bool, PrescriptionRule]]:
             return _estimate_level(context, patterns, alpha)
 
     else:
         # Scalar per-candidate path: the differential reference.
         decide = _make_decider(config)
 
-        def evaluate(pattern: Pattern) -> tuple[bool, PrescriptionRule]:
-            return decide(context.evaluate(pattern))
+        def evaluate_level(patterns: list[Pattern]) -> list[tuple[bool, PrescriptionRule]]:
+            return [decide(context.evaluate(pattern)) for pattern in patterns]
 
     nodes: list[LatticeNode] = traverse_lattice(
-        items,
-        evaluate,
-        max_level=config.max_intervention_size,
-        executor=lattice_executor,
-        evaluate_many=evaluate_many,
+        items, evaluate_level, max_level=config.max_intervention_size
     )
     return _result_from_nodes(nodes, config)
 
@@ -249,19 +238,16 @@ def mine_grouping(
     grouping: Pattern,
     items: list[Pattern],
     config: FairCapConfig,
-    lattice_executor=None,
 ) -> InterventionMiningResult:
     """Build one grouping pattern's context and mine it to completion.
 
-    The loop body every Step-2 caller shares (serial, thread and process
-    executors, and the baseline adapters).  The context — the pattern's
+    The loop body every Step-2 caller shares (the serial loop, process
+    workers, and the baseline adapters).  The context — the pattern's
     sub-tables, bitsets and level stacks — is released when this returns,
     so a worker holds one context at a time.
     """
     with obs_current().tracer.span("mining.context"):
-        return mine_intervention(
-            evaluator.context(grouping), items, config, lattice_executor
-        )
+        return mine_intervention(evaluator.context(grouping), items, config)
 
 
 def _result_from_nodes(
@@ -353,8 +339,13 @@ def mine_interventions_detailed(
     config: FairCapConfig,
     executor=None,
 ) -> list[tuple[PrescriptionRule | None, int]]:
-    """Per-pattern Step-2 results: one ``(best, nodes)`` per pattern, in order."""
-    if executor is not None and executor.kind != "serial":
+    """Per-pattern Step-2 results: one ``(best, nodes)`` per pattern, in order.
+
+    A :class:`~repro.parallel.executors.ProcessExecutor` with more than one
+    worker fans the patterns out across its pool; anything else runs the
+    in-process loop below.
+    """
+    if isinstance(executor, ProcessExecutor) and executor.n_workers > 1:
         from repro.parallel.mining import mine_groups_detailed
 
         return mine_groups_detailed(

@@ -25,6 +25,7 @@ from repro.core.config import FairCapConfig
 from repro.core.variants import ProblemVariant, canonical_variants
 from repro.datasets.bundle import DatasetBundle
 from repro.datasets.registry import load_dataset
+from repro.utils.errors import ConfigError
 
 PAPER_SO_N = 38_000
 PAPER_GERMAN_N = 1_000
@@ -33,29 +34,31 @@ DEFAULT_GERMAN_N = 4_000
 DEFAULT_SEED = 7
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int | None) -> int | None:
+    """``int`` value of environment variable ``name`` (``default`` if unset)."""
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Row counts, seed, worker count, and per-dataset constraint defaults.
 
-    ``n_workers``/``executor`` select the Step-2 execution strategy for
-    every experiment driver (see :mod:`repro.parallel`); results are
-    identical for any combination — only runtime changes.  ``executor`` of
-    ``"auto"`` resolves to the process executor when ``n_workers`` asks for
-    parallelism and the serial reference otherwise.
+    ``n_workers`` is the Step-2 worker count for every experiment driver:
+    ``1`` runs in-process, ``N > 1`` a process pool, ``0`` all visible CPUs
+    (see :mod:`repro.parallel`).  Results are identical for any worker
+    count — only runtime changes.
     """
 
     so_n: int
     german_n: int
     seed: int
     n_workers: int = 1
-    executor: str = "auto"
     cache_size: int | None = None
     """CATE memo bound; ``None`` = the FairCapConfig default, ``0`` disables
     caching entirely (cache-free, paper-methodology-comparable runtimes)."""
@@ -71,21 +74,13 @@ class ExperimentSettings:
         else:
             so_n = _env_int("REPRO_SO_N", DEFAULT_SO_N)
             german_n = _env_int("REPRO_GERMAN_N", DEFAULT_GERMAN_N)
-        cache_raw = os.environ.get("REPRO_CACHE_SIZE")
         return cls(
             so_n=so_n,
             german_n=german_n,
             seed=_env_int("REPRO_SEED", DEFAULT_SEED),
             n_workers=_env_int("REPRO_WORKERS", 1),
-            executor=os.environ.get("REPRO_EXECUTOR", "auto"),
-            cache_size=int(cache_raw) if cache_raw is not None else None,
+            cache_size=_env_int("REPRO_CACHE_SIZE", None),
         )
-
-    def resolved_executor(self) -> str:
-        """The concrete executor kind behind an ``"auto"`` spelling."""
-        if self.executor != "auto":
-            return self.executor
-        return "process" if self.n_workers != 1 else "serial"
 
     def rows_for(self, dataset: str) -> int:
         """Experiment row count for ``dataset``."""
@@ -127,7 +122,6 @@ class ExperimentSettings:
             max_intervention_size=2,
             max_values_per_attribute=5,
             min_subgroup_size=10,
-            executor=self.resolved_executor(),
             n_workers=self.n_workers,
             **extra,
         )

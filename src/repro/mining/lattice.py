@@ -8,12 +8,12 @@ that combining positive-effect treatments is likely to stay positive.
 
 :func:`traverse_lattice` implements the traversal generically and drives one
 lattice to completion, level by level: callers provide the items and an
-``evaluate`` callback that decides, per pattern, whether the node is *kept*
-(expandable) and attaches an arbitrary payload (e.g. a
-:class:`~repro.causal.estimators.CateResult`) — or an ``evaluate_many``
-callback that consumes a whole level at once (the batched FWL engine's
-entry point).  The FairCap-specific scoring lives in
-:mod:`repro.core.intervention`.
+``evaluate_level`` callback that receives one whole level's candidates and
+decides, per candidate, whether the node is *kept* (expandable) and attaches
+an arbitrary payload (e.g. a :class:`~repro.causal.estimators.CateResult`).
+The batched FWL engine consumes a level in one pass; the scalar reference
+evaluates its candidates one at a time.  The FairCap-specific scoring lives
+in :mod:`repro.core.intervention`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class LatticeNode:
     keep:
         Whether the evaluation kept the node (e.g. positive CATE).
     payload:
-        Whatever ``evaluate`` attached (estimates, utilities, ...).
+        Whatever ``evaluate_level`` attached (estimates, utilities, ...).
     """
 
     pattern: Pattern
@@ -83,11 +83,8 @@ def _next_level(
 
 def traverse_lattice(
     items: Sequence[Pattern],
-    evaluate: Callable[[Pattern], Evaluation] | None = None,
+    evaluate_level: Callable[[list[Pattern]], list[Evaluation]],
     max_level: int = 2,
-    max_nodes: int | None = None,
-    executor=None,
-    evaluate_many: Callable[[list[Pattern]], list[Evaluation]] | None = None,
 ) -> list[LatticeNode]:
     """Materialise the lattice top-down with all-parents-kept pruning.
 
@@ -95,45 +92,23 @@ def traverse_lattice(
     ----------
     items:
         Single-attribute item patterns (the lattice's level-1 atoms).
-    evaluate:
-        Callback returning ``(keep, payload)`` for a candidate pattern.
-        ``keep=False`` prunes the node's entire up-set from exploration
-        (it is still reported in the result with ``keep=False``).
-        May be omitted when ``evaluate_many`` is given.
+    evaluate_level:
+        Callback receiving one level's candidate patterns, in generation
+        order, and returning one ``(keep, payload)`` per candidate, in the
+        same order.  ``keep=False`` prunes the node's entire up-set from
+        exploration (it is still reported in the result with
+        ``keep=False``).  A level's candidates are fully determined by the
+        previous levels' keeps, so how the callback evaluates them (one
+        batch or one at a time) cannot change the traversal.
     max_level:
         Deepest level to explore (the paper uses small treatments;
         level 2 is the default as in CauSumX).
-    max_nodes:
-        Optional hard cap on materialised nodes (safety valve for
-        benchmarks); ``None`` = unlimited.
-    executor:
-        Optional *in-process* :class:`~repro.parallel.executors.Executor`
-        (serial or thread) used to evaluate each level's candidate batch
-        concurrently.  A level's candidates are fully determined by the
-        previous levels' keeps, and within-level evaluations are mutually
-        independent, so batching preserves the serial traversal exactly:
-        nodes are appended in candidate-generation order regardless of
-        completion order.  Process executors are ignored (silent serial
-        fallback): ``evaluate`` is typically a closure, which cannot cross
-        a process boundary — process-level parallelism belongs at the
-        grouping-pattern fan-out (:mod:`repro.parallel.mining`).  Ignored
-        when ``evaluate_many`` is given.
-    evaluate_many:
-        Batch variant of ``evaluate``: receives one whole level's candidate
-        patterns and returns their evaluations in order.  Takes precedence
-        over ``evaluate``/``executor`` — this is how the batched FWL
-        estimation engine (:mod:`repro.causal.batch`) consumes a level in
-        one GEMM instead of one OLS per candidate.  The traversal is
-        unchanged: candidate generation, ordering, and pruning are
-        identical to the per-pattern path.
 
     Returns
     -------
     list[LatticeNode]
         Every node that was materialised (kept or not), level by level.
     """
-    if evaluate is None and evaluate_many is None:
-        raise PatternError("traverse_lattice needs evaluate or evaluate_many")
     items = list(items)
     for item in items:
         if len(item.attributes) != 1:
@@ -141,25 +116,11 @@ def traverse_lattice(
                 f"lattice items must cover exactly one attribute, got {item}"
             )
 
-    if executor is not None and getattr(executor, "kind", "serial") == "process":
-        executor = None  # closures cannot cross a process boundary
-
-    def evaluate_level(patterns: list[Pattern]) -> list[Evaluation]:
-        if evaluate_many is not None:
-            return evaluate_many(patterns)
-        if executor is None or len(patterns) <= 1:
-            return [evaluate(p) for p in patterns]
-        return executor.map(evaluate, patterns)
-
     nodes: list[LatticeNode] = []
     kept_sets: set[frozenset[int]] = set()
     pending = [(frozenset((idx,)), item) for idx, item in enumerate(items)]
     level = 1
     while pending:
-        # Hitting the node budget truncates this level and ends the walk.
-        truncated = max_nodes is not None and len(pending) > max_nodes - len(nodes)
-        if truncated:
-            pending = pending[: max_nodes - len(nodes)]
         evaluations = evaluate_level([pattern for _, pattern in pending])
         if len(evaluations) != len(pending):
             raise PatternError(
@@ -171,7 +132,7 @@ def traverse_lattice(
             if keep:
                 kept_sets.add(key)
                 kept_keys.append(key)
-        if truncated or level >= max_level:
+        if level >= max_level:
             break
         pending = _next_level(items, kept_sets, kept_keys, level)
         level += 1

@@ -7,17 +7,18 @@ OLS fits.  The work is embarrassingly parallel *across grouping patterns*
 repeated runs* (the same sub-population / treatment / adjustment-set triple
 is re-estimated again and again).  This package addresses both:
 
-- :mod:`repro.parallel.executors` — a pluggable execution layer with three
-  interchangeable strategies: :class:`~repro.parallel.executors.SerialExecutor`
-  (the reference), :class:`~repro.parallel.executors.ThreadExecutor`, and
-  :class:`~repro.parallel.executors.ProcessExecutor` (chunked work-stealing
-  over candidate grouping patterns via a process pool).
+- :mod:`repro.parallel.executors` — the execution layer, chosen by the
+  worker count alone (:func:`~repro.parallel.executors.make_executor`): one
+  worker runs the in-process
+  :class:`~repro.parallel.executors.SerialExecutor` (the reference), more
+  run the :class:`~repro.parallel.executors.ProcessExecutor` (chunked
+  work-stealing over candidate grouping patterns via a process pool).
 - :mod:`repro.parallel.cache` — :class:`~repro.parallel.cache.EstimationCache`,
   a content-addressed memo of ``estimate_cate`` results keyed by
   ``(estimator, table fingerprint, treated mask, outcome, adjustment set)``
   so overlapping candidates share estimation work across lattice levels,
   across problem variants, and across experiment runs.
-- :mod:`repro.parallel.mining` — the executor-agnostic fan-out of Step 2
+- :mod:`repro.parallel.mining` — the process-pool fan-out of Step 2
   (imported lazily by :mod:`repro.core.intervention`; it is *not* re-exported
   here to keep this package importable from :mod:`repro.core.config`).
 
@@ -51,7 +52,6 @@ from repro.parallel.executors import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     chunk_indices,
     make_executor,
 )
@@ -74,7 +74,6 @@ __all__ = [
     "RetryPolicy",
     "RunCheckpoint",
     "SerialExecutor",
-    "ThreadExecutor",
     "chunk_indices",
     "make_executor",
 ]

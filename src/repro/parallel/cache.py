@@ -20,9 +20,8 @@ across variants and runs, where the sub-table *objects* are always fresh.
 Because the key captures every input of the estimation, a cache hit returns
 a value bit-identical to recomputation; caching can change latency, never
 results (see the determinism contract in :mod:`repro.parallel`).  The store
-is an LRU bounded by ``max_entries`` and guarded by a lock so
-:class:`~repro.parallel.executors.ThreadExecutor` workers can share one
-instance.
+is an LRU bounded by ``max_entries`` and guarded by a lock, so a caller
+may share one instance across its own threads.
 
 The batched FWL engine (:mod:`repro.causal.batch`) stores *level entries*
 (:meth:`EstimationCache.rows_level_key`): one whole (sub-population, lattice

@@ -1,39 +1,33 @@
-"""The pluggable execution layer: serial, thread, and process strategies.
+"""The execution layer: the serial reference and the process pool.
 
-All three executors implement the same two operations:
-
-- :meth:`map`: apply a callable to items, returning results in input order;
-- :meth:`map_with_state`: same, but the callable receives a shared *state*
-  built once per worker from a picklable payload.  This is the primitive the
-  mining fan-out uses: the state (a :class:`~repro.rules.utility.RuleEvaluator`
-  plus its caches) is expensive to build and cheap to share, while the items
-  (chunks of grouping-pattern indices) are tiny.
+Both executors implement one operation, :meth:`map_with_state`: apply
+``fn(state, item)`` to every item, in input order, where the *state* is
+built once per worker from a picklable payload.  This is the primitive the
+mining fan-out uses: the state (a :class:`~repro.rules.utility.RuleEvaluator`
+plus its caches) is expensive to build and cheap to share, while the items
+(chunks of grouping-pattern indices) are tiny.
 
 :class:`ProcessExecutor` ships the payload to each worker exactly once via
 the pool initializer and submits every chunk as its own task, so idle
 workers steal remaining chunks from the pool queue (chunked work-stealing).
-Because results are reassembled in input order, all executors are
+Because results are reassembled in input order, both executors are
 observationally identical — see the determinism contract in
-:mod:`repro.parallel`.
+:mod:`repro.parallel`.  The worker count is the only knob:
+:func:`make_executor` turns it into the serial loop (one worker) or a
+process pool (more).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-)
+from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from repro.obs.runtime import current as obs_current
 from repro.parallel.resilience import RetryPolicy, install_plan
 from repro.utils.errors import ConfigError
-
-EXECUTOR_KINDS = ("serial", "thread", "process")
 
 # Per-process state installed by the pool initializer (one per worker).
 _WORKER_STATE: Any = None
@@ -67,7 +61,7 @@ def _worker_call_tracked(
 
 
 def default_worker_count() -> int:
-    """Worker count used when ``n_workers`` is not given.
+    """Worker count that ``n_workers=0`` resolves to: every visible CPU.
 
     Honors the CPU *affinity* mask where the platform exposes it, so a
     cgroup- or taskset-limited container (for example 1-CPU CI runners)
@@ -111,10 +105,6 @@ class SerialExecutor:
     def __init__(self) -> None:
         self.n_workers = 1
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        """Apply ``fn`` to every item, in order."""
-        return [fn(item) for item in items]
-
     def map_with_state(
         self,
         build_state: Callable[[Any], Any],
@@ -141,47 +131,6 @@ class SerialExecutor:
         return f"{type(self).__name__}(n_workers={self.n_workers})"
 
 
-class ThreadExecutor(SerialExecutor):
-    """Thread-pool executor: shared-memory parallelism.
-
-    Suited to workloads dominated by numpy/BLAS calls (which release the
-    GIL); the evaluator state is built once and shared by all threads, so
-    there is no pickling cost.  Cache and evaluator accesses are
-    thread-safe (:class:`~repro.parallel.cache.EstimationCache` locks its
-    LRU; everything else is read-only).
-    """
-
-    kind = "thread"
-
-    def __init__(self, n_workers: int | None = None) -> None:
-        self.n_workers = int(n_workers) if n_workers else default_worker_count()
-        if self.n_workers < 1:
-            raise ConfigError("n_workers must be >= 1")
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        items = list(items)
-        if len(items) <= 1 or self.n_workers == 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            return list(pool.map(fn, items))
-
-    def map_with_state(
-        self,
-        build_state: Callable[[Any], Any],
-        payload: Any,
-        fn: Callable[[Any, Any], Any],
-        items: Sequence[Any],
-        retry: "RetryPolicy | None" = None,
-        fault_plan: Any = None,
-    ) -> list[Any]:
-        with obs_current().tracer.span(
-            "parallel.map", kind=self.kind, n_workers=self.n_workers,
-            chunks=len(items),
-        ):
-            state = build_state(payload)
-            return self.map(lambda item: fn(state, item), items)
-
-
 class ProcessExecutor(SerialExecutor):
     """Process-pool executor: chunked work-stealing across CPU cores.
 
@@ -193,17 +142,10 @@ class ProcessExecutor(SerialExecutor):
 
     kind = "process"
 
-    def __init__(self, n_workers: int | None = None) -> None:
-        self.n_workers = int(n_workers) if n_workers else default_worker_count()
+    def __init__(self, n_workers: int) -> None:
+        self.n_workers = int(n_workers)
         if self.n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        items = list(items)
-        if len(items) <= 1 or self.n_workers == 1:
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-            return list(pool.map(fn, items))
 
     def map_with_state(
         self,
@@ -217,13 +159,6 @@ class ProcessExecutor(SerialExecutor):
         items = list(items)
         if not items:
             return []
-        if self.n_workers == 1:
-            # One worker cannot win anything over in-process execution;
-            # skip the pickling round-trips but keep identical results.
-            # (Fault plans target process pools; none exists here.)
-            return SerialExecutor.map_with_state(
-                self, build_state, payload, fn, items
-            )
         with obs_current().tracer.span(
             "parallel.map", kind=self.kind, n_workers=self.n_workers,
             chunks=len(items),
@@ -389,21 +324,17 @@ class ProcessExecutor(SerialExecutor):
                 pass
 
 
-def make_executor(kind: str, n_workers: int | None = None) -> SerialExecutor:
-    """Build an executor from its config spelling.
+def make_executor(n_workers: int) -> SerialExecutor:
+    """Build the executor for a worker count.
 
-    ``kind`` is ``"serial"``, ``"thread"``, or ``"process"``; ``n_workers``
-    of ``None``/``0`` means "all visible CPUs" for the parallel kinds.
+    ``0`` means all visible CPUs (:func:`default_worker_count`).  A count
+    that resolves to 1 gives the in-process :class:`SerialExecutor`; a
+    larger one gives a :class:`ProcessExecutor` with that many workers.
     """
-    if kind == "serial":
+    n_workers = n_workers or default_worker_count()
+    if n_workers == 1:
         return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(n_workers)
-    if kind == "process":
-        return ProcessExecutor(n_workers)
-    raise ConfigError(
-        f"unknown executor {kind!r}; choose from {list(EXECUTOR_KINDS)}"
-    )
+    return ProcessExecutor(n_workers)
 
 
 Executor = SerialExecutor

@@ -1,9 +1,11 @@
-"""Executor-agnostic fan-out of FairCap's Step 2 over grouping patterns.
+"""Process-pool fan-out of FairCap's Step 2 over grouping patterns.
 
 One grouping pattern = one independent work unit: build its
 :class:`~repro.rules.utility.GroupEvaluationContext`, run the lattice
-search, return the best rule.  This module packages that unit so any
-:mod:`repro.parallel.executors` strategy can run it:
+search, return the best rule.  This module packages that unit for the
+:class:`~repro.parallel.executors.ProcessExecutor`; a single worker never
+gets here, because :func:`repro.core.intervention.mine_interventions_detailed`
+runs the in-process serial loop instead:
 
 - the *payload* carries everything a worker needs (table, DAG, protected
   group, estimator, config, items, patterns) and is shipped to each process
@@ -23,7 +25,7 @@ Under ``config.batch_estimation`` (the default) a lattice level is one
 GEMM batch per sub-population (:mod:`repro.causal.batch`), and the
 worker-side :class:`~repro.parallel.cache.EstimationCache` stores
 whole-level entries, which is what keeps results bit-identical across
-executors — a level's batch composition is determined by the traversal,
+worker counts — a level's batch composition is determined by the traversal,
 never by which worker mined neighbouring patterns (see
 ``EstimationCache.rows_level_key``).
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.parallel.cache import CacheStats, EstimationCache
-from repro.parallel.executors import SerialExecutor, chunk_indices
+from repro.parallel.executors import ProcessExecutor, chunk_indices
 from repro.parallel.resilience import RetryPolicy
 
 
@@ -49,8 +51,8 @@ class _MiningState:
     ``owns_telemetry`` marks state built by :func:`_build_state` inside a
     process worker, where the worker installed its *own* telemetry session:
     only then may :func:`_mine_chunk` drain it and ship the snapshot back.
-    Serial and thread executors share the caller's session directly
-    (:func:`_reuse_state`), and draining that would reset the caller's
+    The degraded-serial recovery path builds its state in the caller, which
+    shares the caller's session, and draining that would reset the caller's
     registry mid-run.
     """
 
@@ -164,116 +166,57 @@ def _mine_chunk(
     return out, new_entries, telemetry_payload
 
 
-def _reuse_state(evaluator_and_inputs: tuple) -> _MiningState:
-    """State builder for in-process executors: share the existing evaluator."""
-    evaluator, items, config, patterns = evaluator_and_inputs
-    return _MiningState(
-        evaluator=evaluator, items=items, config=config, patterns=patterns
-    )
-
-
-def mine_groups(
-    evaluator,
-    grouping_patterns: Sequence,
-    items: list,
-    config,
-    executor: SerialExecutor,
-) -> tuple[list, int]:
-    """Run Step 2 for every grouping pattern through ``executor``.
-
-    Returns ``(rules, nodes_evaluated)`` exactly as the serial loop in
-    :func:`repro.core.intervention.mine_interventions_for_groups` would:
-    one best rule per grouping pattern that has an eligible treatment, in
-    Step-1 mining order.
-    """
-    detailed = mine_groups_detailed(
-        evaluator, grouping_patterns, items, config, executor
-    )
-    rules = [best for best, _ in detailed if best is not None]
-    return rules, sum(nodes for _, nodes in detailed)
-
-
 def mine_groups_detailed(
     evaluator,
     grouping_patterns: Sequence,
     items: list,
     config,
-    executor: SerialExecutor,
+    executor: ProcessExecutor,
 ) -> list[tuple]:
-    """Per-pattern Step-2 results through ``executor``, in input order.
+    """Per-pattern Step-2 results through a process pool, in input order.
 
     Returns one ``(best_rule_or_None, nodes_evaluated)`` per grouping
-    pattern — the granularity the checkpoint layer persists.  Process
-    executors run with the config's :class:`RetryPolicy` and fault plan:
-    worker death, chunk timeout, and retry exhaustion are recovered inside
+    pattern — the granularity the checkpoint layer persists.  The pool runs
+    with the config's :class:`RetryPolicy` and fault plan: worker death,
+    chunk timeout, and retry exhaustion are recovered inside
     :meth:`~repro.parallel.executors.ProcessExecutor.map_with_state`
     without changing any result bit (see the determinism contract).
     """
-    from repro.core.intervention import batched_path_available, mine_grouping
-
     patterns = tuple(grouping_patterns)
     if not patterns:
         return []
 
-    if (
-        executor.kind == "thread"
-        and len(patterns) < executor.n_workers
-        and not batched_path_available(config, evaluator)
-    ):
-        # Too few patterns to feed every thread; push the scalar path's
-        # threads one level down instead: walk the patterns serially and
-        # evaluate each lattice level's candidates across the pool
-        # (identical results — see traverse_lattice's executor contract).
-        # Patterns stay serial so only one level-batch pool is live at a
-        # time (no oversubscription).
-        detailed = []
-        for frequent in patterns:
-            result = mine_grouping(
-                evaluator, frequent.pattern, items, config, lattice_executor=executor
-            )
-            detailed.append((result.best, result.nodes_evaluated))
-        return detailed
-
-    chunks = chunk_indices(len(patterns), executor.n_workers)
-    if executor.kind == "process" and executor.n_workers > 1:
-        # Workers rebuild the evaluator from a picklable payload (shipped
-        # once per worker via the pool initializer).  The caller's cache
-        # content rides along as a warm-start snapshot, and each chunk
-        # brings its freshly-computed entries back for merging below.
-        payload = {
-            "table": evaluator.table,
-            "outcome": evaluator.outcome,
-            "dag": evaluator.dag,
-            "protected": evaluator.protected,
-            "estimator": evaluator.estimator,
-            "config": config,
-            "items": items,
-            "patterns": patterns,
-            "caller_pid": os.getpid(),
-            "cache_snapshot": (
-                evaluator.cache.snapshot() if evaluator.cache is not None else None
-            ),
-            "cache_entries": (
-                evaluator.cache.max_entries
-                if evaluator.cache is not None
-                else config.cache_size
-            ),
-        }
-        chunk_results = executor.map_with_state(
-            _build_state,
-            payload,
-            _mine_chunk,
-            chunks,
-            retry=RetryPolicy.from_config(config),
-            fault_plan=getattr(config, "fault_plan", None),
-        )
-    else:
-        # Serial / thread: share the caller's evaluator (and its caches)
-        # directly — threads are safe because all inputs are immutable and
-        # EstimationCache locks its LRU.
-        chunk_results = executor.map_with_state(
-            _reuse_state, (evaluator, items, config, patterns), _mine_chunk, chunks
-        )
+    # Workers rebuild the evaluator from a picklable payload (shipped once
+    # per worker via the pool initializer).  The caller's cache content
+    # rides along as a warm-start snapshot, and each chunk brings its
+    # freshly-computed entries back for merging below.
+    payload = {
+        "table": evaluator.table,
+        "outcome": evaluator.outcome,
+        "dag": evaluator.dag,
+        "protected": evaluator.protected,
+        "estimator": evaluator.estimator,
+        "config": config,
+        "items": items,
+        "patterns": patterns,
+        "caller_pid": os.getpid(),
+        "cache_snapshot": (
+            evaluator.cache.snapshot() if evaluator.cache is not None else None
+        ),
+        "cache_entries": (
+            evaluator.cache.max_entries
+            if evaluator.cache is not None
+            else config.cache_size
+        ),
+    }
+    chunk_results = executor.map_with_state(
+        _build_state,
+        payload,
+        _mine_chunk,
+        chunk_indices(len(patterns), executor.n_workers),
+        retry=RetryPolicy.from_config(config),
+        fault_plan=getattr(config, "fault_plan", None),
+    )
 
     indexed: list[tuple] = []
     for chunk, new_entries, telemetry_payload in chunk_results:

@@ -254,12 +254,11 @@ def maybe_driver_abort(plan: FaultPlan | None, saves: int) -> None:
 
 # -- checkpoint / resume ------------------------------------------------------
 
-#: Config fields that cannot change mined results (execution strategy,
-#: caching, observability, and the resilience knobs themselves), excluded
-#: from the run key so a resume may e.g. use a different worker count.
+#: Config fields that cannot change mined results (worker count, caching,
+#: observability, and the resilience knobs themselves), excluded from the
+#: run key so a resume may e.g. use a different worker count.
 RESULT_NEUTRAL_CONFIG_FIELDS = frozenset(
     {
-        "executor",
         "n_workers",
         "cache_size",
         "telemetry",

@@ -9,12 +9,12 @@ with a :meth:`ServeConfig.validate` that re-checks an instance built through
 
 Environment variables (``REPRO_SERVE_*``) provide deployment-time defaults
 the CLI flags override, mirroring how :class:`ExperimentSettings` reads
-``REPRO_WORKERS``/``REPRO_EXECUTOR`` for the mining side::
+``REPRO_WORKERS`` for the mining side::
 
     REPRO_SERVE_HOST / REPRO_SERVE_PORT        bind address
     REPRO_SERVE_WORKERS                        request worker threads
     REPRO_SERVE_MAX_CONCURRENCY                in-flight bound (0 = unbounded)
-    REPRO_SERVE_DEADLINE_MS                    default request deadline
+    REPRO_SERVE_DEADLINE_MS                    default request deadline (0 = none)
     REPRO_SERVE_CACHE_SIZE                     profile LRU entries
     REPRO_SERVE_ARTIFACT_DIR                   versioned artifact registry
 """

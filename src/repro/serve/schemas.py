@@ -30,7 +30,7 @@ code                      status  meaning
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.utils.errors import ServeError
@@ -227,14 +227,12 @@ class ArtifactInfo:
     version: int
     active: bool
     size_bytes: int
-    metadata: Mapping[str, object] = field(default_factory=dict)
 
     def to_payload(self) -> dict:
         return {
             "version": self.version,
             "active": self.active,
             "size_bytes": self.size_bytes,
-            "metadata": dict(self.metadata),
         }
 
 

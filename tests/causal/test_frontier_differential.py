@@ -345,7 +345,7 @@ def test_frontier_composition_independence():
 def test_frontier_serial_equals_process():
     problem = _toy_problem()
     serial = _mine(FairCapConfig(), *problem)
-    process = _mine(FairCapConfig(executor="process", n_workers=2), *problem)
+    process = _mine(FairCapConfig(n_workers=2), *problem)
     _assert_same_mining(process, serial)
 
 

@@ -29,11 +29,37 @@ def test_defaults_valid():
         {"max_rules": 0},
         {"cache_size": -1},
         {"shard_rows": 0},
+        {"n_workers": -1},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
         FairCapConfig(**kwargs)
+
+
+def test_worker_count_picks_the_executor(monkeypatch):
+    """``n_workers`` is the only parallelism setting: 1 runs in-process,
+    more run a process pool, 0 means every visible CPU."""
+    from repro.parallel import executors
+    from repro.parallel.executors import ProcessExecutor, SerialExecutor
+
+    assert FairCapConfig().n_workers == 1
+    assert type(FairCapConfig().make_executor()) is SerialExecutor
+    assert type(FairCapConfig(n_workers=1).make_executor()) is SerialExecutor
+    two = FairCapConfig(n_workers=2).make_executor()
+    assert type(two) is ProcessExecutor and two.n_workers == 2
+    every_cpu = FairCapConfig(n_workers=0).make_executor()
+    assert every_cpu.n_workers == executors.default_worker_count()
+    monkeypatch.setattr(executors, "default_worker_count", lambda: 1)
+    assert type(FairCapConfig(n_workers=0).make_executor()) is SerialExecutor
+    monkeypatch.setattr(executors, "default_worker_count", lambda: 3)
+    three = FairCapConfig(n_workers=0).make_executor()
+    assert type(three) is ProcessExecutor and three.n_workers == 3
+
+
+def test_executor_is_not_a_config_field():
+    with pytest.raises(TypeError):
+        FairCapConfig(executor="process")
 
 
 def test_alpha_none_allowed():

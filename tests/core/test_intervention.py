@@ -141,46 +141,33 @@ def test_significance_filter(setup):
     assert len(strict.candidates) <= len(loose.candidates)
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_one_live_context_per_worker(monkeypatch, executor):
+def test_one_live_context_per_worker(monkeypatch):
     """Step 2 mines each grouping pattern to completion before the next.
 
     Every context pins its pattern's sub-tables, bitsets and level stacks,
-    so when a worker builds its next context, nothing it built earlier may
-    still be alive — the per-worker peak is one context, whatever the
-    pattern count.
+    so when the loop builds its next context, nothing it built earlier may
+    still be alive — the peak is one context, whatever the pattern count.
     """
     import gc
-    import threading
     import weakref
 
     from repro.core.faircap import FairCap
     from repro.datasets import load_german
 
     bundle = load_german(n=800, rng=3)
-    n_workers = 2 if executor == "thread" else 1
-    config = FairCapConfig(
-        executor=executor, n_workers=n_workers, max_grouping_size=1
-    )
+    config = FairCapConfig(max_grouping_size=1)
     build_context = RuleEvaluator.context
-    lock = threading.Lock()
-    built: list[tuple[int, weakref.ref]] = []
+    built: list[weakref.ref] = []
     violations: list[str] = []
 
     def tracking(self, grouping):
-        # Assertions raised inside a pool worker would be retried by the
-        # resilience layer, so violations are collected and checked after.
-        with lock:
-            gc.collect()
-            me = threading.get_ident()
-            alive = [tid for tid, ref in built if ref() is not None]
-            if me in alive:
-                violations.append(f"{grouping}: this worker's last context lives")
-            if len(alive) >= n_workers:
-                violations.append(f"{grouping}: {len(alive)} contexts alive")
-            context = build_context(self, grouping)
-            built.append((me, weakref.ref(context)))
-            return context
+        gc.collect()
+        alive = sum(ref() is not None for ref in built)
+        if alive:
+            violations.append(f"{grouping}: {alive} earlier contexts alive")
+        context = build_context(self, grouping)
+        built.append(weakref.ref(context))
+        return context
 
     monkeypatch.setattr(RuleEvaluator, "context", tracking)
     result = FairCap(config).run(
@@ -191,20 +178,17 @@ def test_one_live_context_per_worker(monkeypatch, executor):
 
 
 @pytest.mark.parametrize(
-    "executor, cache_size",
-    [("serial", 65_536), ("serial", 0), ("thread", 65_536)],
-    ids=["serial-cached", "serial-uncached", "thread-cached"],
+    "cache_size", [65_536, 0], ids=["serial-cached", "serial-uncached"]
 )
-def test_no_factorization_outlives_its_context(monkeypatch, executor, cache_size):
+def test_no_factorization_outlives_its_context(monkeypatch, cache_size):
     """A design factorization dies with the context whose sub-table it
     factorizes, with or without an estimation cache attached.
 
-    Every factorization is tagged with the worker thread that built it.
-    When a worker builds its next context, everything it factorized
-    belongs to its earlier contexts and must be garbage by then.
+    Every factorization is tagged with the context it was built under.
+    When the loop builds its next context, everything it factorized
+    belongs to earlier contexts and must be garbage by then.
     """
     import gc
-    import threading
     import weakref
 
     from repro.causal import batch
@@ -212,44 +196,28 @@ def test_no_factorization_outlives_its_context(monkeypatch, executor, cache_size
     from repro.datasets import load_german
 
     bundle = load_german(n=800, rng=3)
-    n_workers = 2 if executor == "thread" else 1
-    config = FairCapConfig(
-        executor=executor,
-        n_workers=n_workers,
-        max_grouping_size=1,
-        cache_size=cache_size,
-    )
+    config = FairCapConfig(max_grouping_size=1, cache_size=cache_size)
     build_context = RuleEvaluator.context
     build = batch.build_rows_factorization
-    lock = threading.Lock()
-    contexts: dict[int, int] = {}  # worker thread -> contexts built so far
-    built: list[tuple[int, int, weakref.ref]] = []
+    contexts = 0  # contexts built so far
+    built: list[tuple[int, weakref.ref]] = []
     violations: list[str] = []
 
     def tracking_context(self, grouping):
-        # Assertions raised inside a pool worker would be retried by the
-        # resilience layer, so violations are collected and checked after.
-        with lock:
-            gc.collect()
-            me = threading.get_ident()
-            alive = [
-                context
-                for tid, context, ref in built
-                if tid == me and ref() is not None
-            ]
-            if alive:
-                violations.append(
-                    f"{grouping}: {len(alive)} factorizations of this worker's "
-                    f"contexts {sorted(set(alive))} live"
-                )
-            contexts[me] = contexts.get(me, 0) + 1
+        nonlocal contexts
+        gc.collect()
+        alive = [context for context, ref in built if ref() is not None]
+        if alive:
+            violations.append(
+                f"{grouping}: {len(alive)} factorizations of earlier "
+                f"contexts {sorted(set(alive))} live"
+            )
+        contexts += 1
         return build_context(self, grouping)
 
     def tracking_build(table, outcome, adjustment=()):
         factorization = build(table, outcome, adjustment)
-        with lock:
-            me = threading.get_ident()
-            built.append((me, contexts[me], weakref.ref(factorization)))
+        built.append((contexts, weakref.ref(factorization)))
         return factorization
 
     monkeypatch.setattr(RuleEvaluator, "context", tracking_context)
@@ -257,6 +225,6 @@ def test_no_factorization_outlives_its_context(monkeypatch, executor, cache_size
     result = FairCap(config).run(
         bundle.table, bundle.schema, bundle.dag, bundle.protected
     )
-    assert sum(contexts.values()) == len(result.grouping_patterns) >= 10
+    assert contexts == len(result.grouping_patterns) >= 10
     assert len(built) > len(result.grouping_patterns)
     assert not violations, "\n".join(violations[:5])

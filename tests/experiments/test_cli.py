@@ -84,6 +84,32 @@ def test_serve_missing_artifact_is_clean_error(capsys):
     assert "ruleset.json" in err
 
 
+def test_workers_flag_reaches_the_config(monkeypatch):
+    from repro.__main__ import _settings
+    from repro.datasets import load_german
+
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    settings = _settings(build_parser().parse_args(["run", "--workers", "2"]))
+    bundle = load_german(n=300, rng=1)
+    variants = settings.variants_for(bundle)
+    config = settings.config_for(bundle, variants["No constraints"])
+    assert config.n_workers == 2
+
+
+def test_executor_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["run", "--executor", "process"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --executor process" in capsys.readouterr().err
+
+
+def test_malformed_mining_variable_is_a_clean_error(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_WORKERS", "abc")
+    assert main(["run", "--dataset", "german", "--n", "300"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: REPRO_WORKERS must be an integer, got 'abc'\n"
+
+
 def test_serve_parser_arguments():
     args = build_parser().parse_args(
         ["serve", "--artifact", "ruleset.json", "--port", "9000"]

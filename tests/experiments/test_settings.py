@@ -1,7 +1,9 @@
 """Tests for experiment settings."""
 
+import pytest
 
 from repro.experiments.settings import ExperimentSettings
+from repro.utils.errors import ConfigError
 
 
 def test_from_environment_defaults(monkeypatch):
@@ -43,3 +45,16 @@ def test_variants_and_config():
     fair = variants["Group fairness"]
     assert fair.fairness.kind.value == "BGL"
     assert fair.fairness.threshold == 0.1
+
+
+@pytest.mark.parametrize(
+    "var",
+    ["REPRO_SO_N", "REPRO_GERMAN_N", "REPRO_SEED", "REPRO_WORKERS", "REPRO_CACHE_SIZE"],
+)
+def test_malformed_integer_variable_is_a_config_error(monkeypatch, var):
+    monkeypatch.delenv("REPRO_FULL", raising=False)
+    monkeypatch.setenv(var, "abc")
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentSettings.from_environment()
+    assert str(excinfo.value) == f"{var} must be an integer, got 'abc'"
+

@@ -34,7 +34,7 @@ from tests.parallel.test_equivalence import assert_identical_results
 from repro.core.config import FairCapConfig
 from repro.core.faircap import FairCap, FairCapResult
 from repro.mining.patterns import Pattern
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.rules.protected import ProtectedGroup
 
 pytestmark = pytest.mark.slow
@@ -111,9 +111,7 @@ def test_german_sharded_serial_identical(request, in_ram_reference, shard_rows):
 
 
 @pytest.mark.parametrize(
-    "executor_factory",
-    [lambda: ThreadExecutor(n_workers=2), lambda: ProcessExecutor(n_workers=2)],
-    ids=["thread", "process"],
+    "executor_factory", [lambda: ProcessExecutor(n_workers=2)], ids=["process"]
 )
 def test_toy_sharded_executors_identical(
     request, in_ram_reference, executor_factory
@@ -127,9 +125,7 @@ def test_toy_sharded_executors_identical(
 
 
 @pytest.mark.parametrize(
-    "executor_factory",
-    [lambda: ThreadExecutor(n_workers=2), lambda: ProcessExecutor(n_workers=2)],
-    ids=["thread", "process"],
+    "executor_factory", [lambda: ProcessExecutor(n_workers=2)], ids=["process"]
 )
 def test_german_sharded_executors_identical(
     request, in_ram_reference, executor_factory

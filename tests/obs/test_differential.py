@@ -8,7 +8,7 @@ Two contracts from the observability issue:
 2. **Executor invariance**: the ``deterministic`` counter family (mining
    candidates / pruned / kept / estimated columns / rules) is derived from
    the lattice traversal, which the :mod:`repro.parallel` contract pins
-   across executors — so serial, thread(2) and process(2) runs must report
+   across executors — so serial and process(2) runs must report
    *exactly* the same deterministic counters.  Engine counters (cache
    traffic, factorization routes) legitimately differ per executor and are
    only checked for presence.
@@ -27,12 +27,11 @@ from tests.parallel.test_equivalence import assert_identical_results
 from repro.core.config import FairCapConfig
 from repro.core.faircap import FairCap
 from repro.obs.trace import iter_spans
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.scenarios import ScenarioWorld, oracle_config, oracle_grid
 
 EXECUTORS = {
     "serial": lambda: SerialExecutor(),
-    "thread2": lambda: ThreadExecutor(n_workers=2),
     "process2": lambda: ProcessExecutor(n_workers=2),
 }
 
@@ -89,7 +88,7 @@ def test_tracing_is_bit_identical_to_untraced(german_problem, german_runs):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("executor_name", ["thread2", "process2"])
+@pytest.mark.parametrize("executor_name", ["process2"])
 def test_deterministic_counters_executor_invariant_german(
     german_runs, executor_name
 ):
@@ -177,16 +176,14 @@ def test_deterministic_counters_executor_invariant_worlds(world_runs):
     name, runs = world_runs
     reference = deterministic_counters(runs["serial"].telemetry)
     assert reference, f"{name}: no deterministic counters recorded"
-    for executor_name in ("thread2", "process2"):
-        candidate = deterministic_counters(runs[executor_name].telemetry)
-        assert candidate == reference, f"{name}: {executor_name} differs"
+    candidate = deterministic_counters(runs["process2"].telemetry)
+    assert candidate == reference, f"{name}: process2 differs"
 
 
 @pytest.mark.scenario
 def test_world_results_identical_across_executors(world_runs):
     _, runs = world_runs
-    for executor_name in ("thread2", "process2"):
-        assert_identical_results(runs["serial"], runs[executor_name])
+    assert_identical_results(runs["serial"], runs["process2"])
 
 
 @pytest.mark.scenario

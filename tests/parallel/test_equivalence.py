@@ -17,7 +17,8 @@ from tests.conftest import build_toy_dag, build_toy_table
 from repro.core.config import FairCapConfig
 from repro.core.faircap import FairCap, FairCapResult
 from repro.mining.patterns import Pattern
-from repro.parallel import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.obs.trace import iter_spans
+from repro.parallel import ProcessExecutor, SerialExecutor
 from repro.rules.protected import ProtectedGroup
 
 METRIC_FIELDS = (
@@ -141,14 +142,6 @@ def test_process_executor_4_workers_identical(
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("problem_name", PROBLEMS)
-def test_thread_executor_identical(request, serial_reference, problem_name):
-    problem = request.getfixturevalue(problem_name)
-    result = _run(problem, executor=ThreadExecutor(n_workers=2))
-    assert_identical_results(serial_reference(problem_name), result)
-
-
-@pytest.mark.slow
 @pytest.mark.parametrize("n_workers", [2, 3])
 def test_process_worker_count_invariance(
     request, serial_reference, n_workers
@@ -195,42 +188,6 @@ def test_shared_cache_survives_process_executor(request, serial_reference):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n_patterns", [1, 2])
-def test_thread_executor_few_patterns_uses_lattice_batching(
-    request, serial_reference, n_patterns
-):
-    """With fewer patterns than workers, threads batch lattice levels
-    instead — same rules, same node count as the serial traversal."""
-    from repro.core.intervention import (
-        intervention_items,
-        mine_interventions_for_groups,
-    )
-    from repro.rules.utility import RuleEvaluator
-
-    table, schema, dag, protected, config = request.getfixturevalue(
-        "synth_problem"
-    )
-    schema = schema if schema is not None else table.schema
-    reference = serial_reference("synth_problem")
-    subset = reference.grouping_patterns[:n_patterns]
-
-    evaluator = RuleEvaluator(
-        table, schema.outcome_name, dag, protected,
-        estimator=config.make_estimator(),
-        min_subgroup_size=config.min_subgroup_size,
-    )
-    items = intervention_items(table, schema, dag, config)
-    serial_rules, serial_nodes = mine_interventions_for_groups(
-        evaluator, subset, items, config
-    )
-    thread_rules, thread_nodes = mine_interventions_for_groups(
-        evaluator, subset, items, config, executor=ThreadExecutor(n_workers=4)
-    )
-    assert thread_rules == serial_rules
-    assert thread_nodes == serial_nodes
-
-
-@pytest.mark.slow
 def test_explicit_cache_respected_when_config_disables_caching(request):
     """FairCap(cache=...) wins over config.cache_size == 0 in workers too:
     the caller's cache must accumulate entries under the process executor."""
@@ -253,15 +210,41 @@ def test_explicit_cache_respected_when_config_disables_caching(request):
 
 @pytest.mark.slow
 def test_config_spelling_matches_explicit_executor(request, serial_reference):
-    """`FairCapConfig(executor=..., n_workers=...)` routes identically."""
+    """`FairCapConfig(n_workers=2)` runs the process pool, identically."""
     table, schema, dag, protected, config = request.getfixturevalue(
         "synth_problem"
     )
     from dataclasses import replace
 
-    configured = replace(config, executor="process", n_workers=2)
+    configured = replace(config, n_workers=2, telemetry=True)
     result = FairCap(configured).run(table, schema, dag, protected)
     assert_identical_results(serial_reference("synth_problem"), result)
+    assert result.telemetry["meta"]["executor"] == "process"
+    assert "parallel.map" in _span_names(result.telemetry)
+
+
+def _span_names(report) -> set[str]:
+    return {span["name"] for span in iter_spans(report["spans"])}
+
+
+@pytest.mark.slow
+def test_single_worker_process_executor_runs_serial_loop(
+    request, serial_reference
+):
+    """A one-worker pool cannot beat the in-process loop, so it never
+    starts: no ``parallel.map`` span, and the serial loop's results."""
+    from dataclasses import replace
+
+    table, schema, dag, protected, config = request.getfixturevalue(
+        "synth_problem"
+    )
+    result = FairCap(
+        replace(config, telemetry=True), executor=ProcessExecutor(1)
+    ).run(table, schema, dag, protected)
+    assert_identical_results(serial_reference("synth_problem"), result)
+    names = _span_names(result.telemetry)
+    assert "mining.context" in names
+    assert "parallel.map" not in names
 
 
 @pytest.mark.slow

@@ -1,23 +1,17 @@
-"""Unit tests for the pluggable execution layer."""
+"""Unit tests for the execution layer."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mining.lattice import traverse_lattice
-from repro.mining.patterns import Pattern
 from repro.parallel.executors import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     chunk_indices,
+    default_worker_count,
     make_executor,
 )
 from repro.utils.errors import ConfigError
-
-
-def _square(x: int) -> int:
-    return x * x
 
 
 def _add_state(state: int, x: int) -> int:
@@ -48,38 +42,48 @@ class TestChunkIndices:
 
 @pytest.mark.parametrize(
     "executor",
-    [SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2)],
-    ids=["serial", "thread", "process"],
+    [SerialExecutor(), ProcessExecutor(2)],
+    ids=["serial", "process"],
 )
 class TestExecutorContract:
     def test_map_preserves_input_order(self, executor):
+        # More chunks than workers: the pool hands them out as workers
+        # free up, and results still come back in input order.
         items = list(range(23))
-        assert executor.map(_square, items) == [x * x for x in items]
+        got = executor.map_with_state(_identity_state, 100, _add_state, items)
+        assert got == [100 + x for x in items]
 
     def test_map_with_state(self, executor):
         got = executor.map_with_state(_identity_state, 100, _add_state, [1, 2, 3])
         assert got == [101, 102, 103]
 
     def test_map_empty(self, executor):
-        assert executor.map(_square, []) == []
         assert executor.map_with_state(_identity_state, 0, _add_state, []) == []
 
 
 class TestMakeExecutor:
     def test_kinds(self):
-        assert make_executor("serial").kind == "serial"
-        assert make_executor("thread", 3).n_workers == 3
-        assert make_executor("process", 2).kind == "process"
+        """The worker count alone picks the executor."""
+        assert type(make_executor(1)) is SerialExecutor
+        two = make_executor(2)
+        assert type(two) is ProcessExecutor and two.n_workers == 2
 
     def test_default_worker_count_is_positive(self):
-        assert make_executor("thread").n_workers >= 1
-        assert make_executor("process", None).n_workers >= 1
+        assert make_executor(0).n_workers == default_worker_count() >= 1
+
+    @pytest.mark.parametrize("visible", [1, 3])
+    def test_zero_means_all_visible_cpus(self, monkeypatch, visible):
+        monkeypatch.setattr(
+            "repro.parallel.executors.default_worker_count", lambda: visible
+        )
+        executor = make_executor(0)
+        assert executor.n_workers == visible
+        expected = SerialExecutor if visible == 1 else ProcessExecutor
+        assert type(executor) is expected
 
     def test_default_worker_count_honors_cpu_affinity(self, monkeypatch):
         """A cgroup/taskset-limited container must not oversubscribe."""
         import os
-
-        from repro.parallel.executors import default_worker_count
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -90,67 +94,15 @@ class TestMakeExecutor:
     ):
         import os
 
-        from repro.parallel.executors import default_worker_count
-
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert default_worker_count() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert default_worker_count() == 1
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            make_executor("gpu")
-
     def test_bad_worker_count_rejected(self):
+        for bad in (-1, 0):
+            with pytest.raises(ConfigError):
+                ProcessExecutor(bad)
         with pytest.raises(ConfigError):
-            ThreadExecutor(-1)
-
-
-class TestLatticeExecutor:
-    """The lattice's per-level batch evaluation is executor-invariant."""
-
-    @staticmethod
-    def _items():
-        return [
-            Pattern.of(A="a1"),
-            Pattern.of(B="b1"),
-            Pattern.of(C="c1"),
-            Pattern.of(D="d1"),
-        ]
-
-    @staticmethod
-    def _evaluate(pattern: Pattern):
-        # Keep everything except patterns touching D; payload echoes size.
-        return "D" not in pattern.attributes, len(pattern)
-
-    def _nodes(self, executor=None, **kwargs):
-        return traverse_lattice(
-            self._items(), self._evaluate, max_level=3, executor=executor, **kwargs
-        )
-
-    def test_thread_executor_matches_serial(self):
-        serial = self._nodes()
-        threaded = self._nodes(executor=ThreadExecutor(2))
-        assert [(n.pattern, n.level, n.keep, n.payload) for n in serial] == [
-            (n.pattern, n.level, n.keep, n.payload) for n in threaded
-        ]
-
-    def test_process_executor_falls_back_to_serial(self):
-        # `evaluate` is a closure, which cannot cross a process boundary;
-        # traverse_lattice must quietly evaluate in-process instead of
-        # handing the closure to a pool (which would PicklingError).
-        serial = self._nodes()
-        processed = self._nodes(executor=ProcessExecutor(2))
-        assert [(n.pattern, n.keep) for n in serial] == [
-            (n.pattern, n.keep) for n in processed
-        ]
-
-    def test_max_nodes_truncation_matches_serial(self):
-        for cap in (1, 2, 3, 5, 7):
-            serial = self._nodes(max_nodes=cap)
-            threaded = self._nodes(executor=ThreadExecutor(2), max_nodes=cap)
-            assert len(serial) <= cap
-            assert [(n.pattern, n.keep) for n in serial] == [
-                (n.pattern, n.keep) for n in threaded
-            ]
+            make_executor(-1)

@@ -291,7 +291,6 @@ def test_run_key_pins_algorithm_but_not_execution(tmp_path):
     # Result-neutral fields (where the work runs) resume the same run.
     moved = dataclasses.replace(
         base,
-        executor="process",
         n_workers=8,
         fault_plan="kill:chunk=0",
         max_chunk_retries=9,

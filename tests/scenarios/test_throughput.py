@@ -3,11 +3,11 @@
 Step 2 gains throughput only from parallelism across grouping patterns
 (the paper's optimisation (ii)): each worker mines its patterns one at a
 time, to completion, through the same per-pattern function as the serial
-loop.  This module certifies that configuration on every grid world with a
-two-worker thread pool sharing one estimation cache: the run must sit
-inside the same analytic CATE bands, satisfy the same fairness/coverage
-constraints, recover the planted ruleset at the recovery tier, and track
-the serial default engine bit for bit.
+loop.  This module certifies that configuration on every grid world as the
+CLI spells it, ``n_workers=2`` (a two-worker process pool): the run must
+sit inside the same analytic CATE bands, satisfy the same
+fairness/coverage constraints, recover the planted ruleset at the recovery
+tier, and track the serial default engine bit for bit.
 """
 
 from __future__ import annotations
@@ -27,20 +27,20 @@ from tests.scenarios.conftest import BASE_N, SPECS, ScenarioRun
 pytestmark = pytest.mark.scenario
 
 #: Per-pattern results are pure functions of the pattern's own content, so
-#: the thread pool must reproduce the serial engine exactly.
+#: the process pool must reproduce the serial engine exactly.
 THROUGHPUT_RTOL = 0.0
 
 
 def _build_throughput_run(name: str, n: int) -> ScenarioRun:
     world = ScenarioWorld(SPECS[name])
     bundle = world.bundle(n)
-    config = oracle_config(world, executor="thread", n_workers=2)
+    config = oracle_config(world, n_workers=2)
     return ScenarioRun(world, bundle, run_world(world, bundle, config))
 
 
 @pytest.fixture(scope="module", params=sorted(SPECS), ids=lambda n: n)
 def throughput_run(request) -> ScenarioRun:
-    """One thread-pool FairCap run per grid world (base tier)."""
+    """One process-pool FairCap run per grid world (base tier)."""
     return _build_throughput_run(request.param, BASE_N)
 
 
@@ -61,7 +61,7 @@ def test_tracks_default_engine_at_rtol(throughput_run):
         reference,
         throughput_run.result,
         THROUGHPUT_RTOL,
-        "thread-vs-serial",
+        "process-vs-serial",
     )
     assert not problems, "\n".join(problems)
 

@@ -94,3 +94,35 @@ def test_with_overrides_validates_and_rejects_unknowns():
         config.with_overrides(portt=1)
     with pytest.raises(ServeError):
         config.with_overrides(workers=-3)  # replace() re-validates
+
+
+def test_zero_deadline_means_none_in_both_spellings(monkeypatch):
+    """``REPRO_SERVE_DEADLINE_MS=0`` and ``--request-deadline-ms 0`` agree:
+    no deadline, as ``--max-concurrency 0`` means no bound."""
+    from repro.__main__ import _serve_config, build_parser
+
+    for name in (
+        "REPRO_SERVE_HOST",
+        "REPRO_SERVE_PORT",
+        "REPRO_SERVE_WORKERS",
+        "REPRO_SERVE_MAX_CONCURRENCY",
+        "REPRO_SERVE_CACHE_SIZE",
+        "REPRO_SERVE_ARTIFACT_DIR",
+    ):
+        monkeypatch.delenv(name, raising=False)
+
+    def flag(value: str) -> ServeConfig:
+        args = build_parser().parse_args(["serve", "--request-deadline-ms", value])
+        return _serve_config(args)
+
+    monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "0")
+    assert ServeConfig.from_environment().request_deadline_seconds is None
+    monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "500")
+    assert flag("0").request_deadline_seconds is None  # the flag wins
+    monkeypatch.delenv("REPRO_SERVE_DEADLINE_MS")
+    assert flag("0").request_deadline_seconds is None
+    assert flag("250").request_deadline_seconds == 0.25
+    with pytest.raises(ServeError, match="request_deadline_seconds"):
+        flag("-5")
+    with pytest.raises(ServeError, match="request_deadline_seconds"):
+        ServeConfig(request_deadline_seconds=0.0)

@@ -187,6 +187,11 @@ def test_artifacts_endpoint_lists_registry(registry_server):
     assert payload["active_version"] == 1
     assert [a["version"] for a in payload["artifacts"]] == [1, 2]
     assert [a["active"] for a in payload["artifacts"]] == [True, False]
+    # The listing does not parse artifacts, so it reports nothing it
+    # would have to read from one.
+    for entry in payload["artifacts"]:
+        assert set(entry) == {"version", "active", "size_bytes"}
+        assert entry["size_bytes"] > 0
 
 
 def test_http_activate_and_rollback_round_trip(registry_server):
