@@ -54,6 +54,7 @@ def load_dataset(
     n:
         Row count override (``None`` = the paper's size: 38K / 1K; scenario
         worlds default to :data:`repro.scenarios.catalog.DEFAULT_ROWS`).
+        A count below 1 raises :class:`~repro.utils.errors.ConfigError`.
     rng:
         Seed or generator.
     shard_rows:
@@ -67,6 +68,8 @@ def load_dataset(
         Shard-store directory (required with ``shard_rows``).  An existing
         store with a matching fingerprint and shard size is reused.
     """
+    if n is not None and n < 1:
+        raise ConfigError(f"row count n must be at least 1, got {n}")
     loader = DATASET_LOADERS.get(name)
     if loader is None:
         from repro.scenarios.catalog import is_scenario_name, load_scenario

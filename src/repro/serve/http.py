@@ -30,6 +30,18 @@ with stable codes (``bad_request``, ``not_found``, ``method_not_allowed``,
 ``artifact_invalid``, ``over_capacity``, ``draining``,
 ``deadline_exceeded``, ``internal``) — see :mod:`repro.serve.schemas`.
 
+Transport: the handler parses request heads itself (``parse_request``)
+into the same :class:`http.client.HTTPMessage` http.server builds, but
+without ``http.client.parse_headers`` and the email package.  It keeps
+http.server's request-line rules and http.client's limits: a request line
+over 65,536 bytes answers 414, and a head line over 65,536 bytes or a
+head of more than 100 lines answers 431.  A malformed head line answers
+400.  These transport rejections (and 501 for a method without a
+handler, 505 from HTTP/2.0) carry the JSON envelope too, as
+``bad_request`` or, for 501, ``method_not_allowed``.  Every response
+leaves in one ``wfile.write`` of status line, headers, blank line and
+body.
+
 Concurrency model:
 
 - a fixed worker pool (``ServeConfig.workers``) runs connections; each
@@ -64,9 +76,11 @@ from __future__ import annotations
 
 import json
 import queue
+import re
 import signal
 import threading
 import time
+from http.client import HTTPMessage
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from repro.obs import MetricsRegistry, StructuredLogger, new_request_id, render_prometheus
@@ -107,6 +121,26 @@ _HANDLERS = {
     "/v1/prescribe": "_handle_prescribe",
 }
 
+#: http.client's head limits, which http.server applies through
+#: ``http.client.parse_headers``: a head line longer than this many bytes,
+#: or a head of more lines than ``_MAX_HEAD_LINES`` (the blank line that
+#: ends it counts, so 99 fields fit), answers 431.
+_MAX_HEAD_LINE = 65536
+_MAX_HEAD_LINES = 100
+
+#: One head line: a field name as http.client's header pattern accepts
+#: one (printable ASCII without the colon), the colon, optional blanks,
+#: then a value without CR or LF up to the line ending.  Whitespace
+#: before the colon or at the start of the line (an obs-fold
+#: continuation) and a line without a colon fail it.
+_HEAD_LINE = re.compile(r"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n?")
+
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
 _HELP_TEXTS = {
     "http.requests": "HTTP requests served, by method/path/status.",
     "http.request_seconds": "Request wall-clock latency in seconds.",
@@ -120,6 +154,15 @@ _HELP_TEXTS = {
     "engine.cache.size": "Prescription-engine LRU entries right now.",
     "engine.rules": "Rules loaded in the serving ruleset.",
 }
+
+
+def _http_date() -> str:
+    """The ``Date`` header value for now (IMF-fixdate, always GMT)."""
+    t = time.gmtime()
+    return (
+        f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+        f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
 
 
 class _DeadlineExceeded(Exception):
@@ -331,10 +374,176 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
             request_id=getattr(self, "_request_id", None),
         )
 
-    def log_request(self, code: object = "-", size: object = "-") -> None:
-        # Replaced by the access-log line in _finish_request (which carries
-        # the request id and latency); suppress the default per-response log.
-        pass
+    # -- request head ------------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Parse the request line and head; False if there is nothing to serve.
+
+        Replaces http.server's parser, which reads the head through
+        ``http.client.parse_headers`` and the email package's feed parser.
+        This one fills the same :class:`http.client.HTTPMessage`, one
+        ``msg[name] = value`` per line, and keeps http.server's rules: the
+        request-line and version checks (400, 505 from HTTP/2.0, HTTP/0.9
+        for GET only, a leading ``//`` collapsed), http.client's limits
+        (431), ``Connection`` and ``Expect: 100-continue``.  A head line
+        without a colon, with whitespace before the colon, continuing the
+        previous one (obs-fold) or holding a bare CR answers 400, where
+        http.server ended the head early or folded the line, CRLF and
+        all, into the previous value.  Every rejection is sent before
+        returning.
+        """
+        # Reset first: send_error trusts ``headers`` only once ``command``
+        # is set again.
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            # Set before the checks, unlike http.server, so that a bad or
+            # too-new version is answered with a status line, not a bare
+            # HTTP/0.9 body.
+            self.request_version = version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                major, minor = version[5:].split(".")
+                if not (major.isdigit() and minor.isdigit()):
+                    raise ValueError
+                if len(major) > 10 or len(minor) > 10:
+                    raise ValueError
+                version_number = int(major), int(minor)
+            except ValueError:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if version_number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if version_number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        # Clients read a leading '//' as a network-path reference (an open
+        # redirect); http.server collapses it and so does this parser.
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        self.headers = headers = self.MessageClass()
+        if not self._read_head(headers):
+            return False
+
+        conntype = headers.get("Connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (
+            headers.get("Expect", "").lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _read_head(self, headers: HTTPMessage) -> bool:
+        """Read head lines into ``headers`` up to the blank line (or EOF).
+
+        Stores what http.client's parser stores: the name as sent and the
+        value with leading blanks and the line ending stripped (trailing
+        blanks stay).  False once a 400 or 431 is sent.
+        """
+        readline = self.rfile.readline
+        for _ in range(_MAX_HEAD_LINES):
+            line = readline(_MAX_HEAD_LINE + 1)
+            if len(line) > _MAX_HEAD_LINE:
+                self.send_error(431, f"header line longer than {_MAX_HEAD_LINE} bytes")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                return True
+            text = str(line, "iso-8859-1")
+            match = _HEAD_LINE.fullmatch(text)
+            if match is None:
+                shown = text.rstrip("\r\n")[:64]
+                self.send_error(400, f"malformed header line {shown!r}")
+                return False
+            headers[match[1]] = match[2]
+        self.send_error(431, f"request head has more than {_MAX_HEAD_LINES} lines")
+        return False
+
+    # -- responses ---------------------------------------------------------------
+
+    def _write_response(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        headers: dict | None = None,
+    ) -> None:
+        """Send status line, headers, blank line and body in one write.
+
+        One write releases the GIL once and lets the client read the whole
+        response with one ``recv``.  ``wfile`` stays unbuffered: a write
+        into a hung-up socket raises here, once, inside ``_route``; a
+        buffered ``wfile`` would keep the bytes and raise again in
+        http.server's own ``flush``, counting the disconnect twice.
+        """
+        self._status = status
+        if self.request_version == "HTTP/0.9":  # http.server's rule: no head
+            self.wfile.write(body)
+            return
+        phrase = self.responses.get(status, ("",))[0]
+        lines = [
+            f"{self.protocol_version} {status} {phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {_http_date()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
+        for name, value in (headers or {}).items():
+            lines.append(f"{name}: {value}")
+        request_id = getattr(self, "_request_id", None)
+        if request_id is not None:
+            lines.append(f"X-Request-Id: {request_id}")
+        if self.close_connection:
+            lines.append("Connection: close")
+        lines.append("\r\n")
+        head = "\r\n".join(lines).encode("latin-1")
+        # A HEAD request is only ever answered by send_error (no do_HEAD):
+        # its length is stated, its body is not sent.
+        self.wfile.write(head if self.command == "HEAD" else head + body)
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer http.server's own rejections with the JSON envelope.
+
+        http.server calls this for a request line longer than 65,536 bytes
+        (414) and a method without a ``do_`` handler (501); ``parse_request``
+        for a malformed request line or version (400), a version from 2.0
+        (505), a malformed head line (400) and an oversized head (431).
+        The connection closes after each.  ``explain`` is ignored.
+        """
+        self.close_connection = True
+        # ``headers`` is this request's own (possibly partial) head once
+        # parse_request has set ``command``; before that it may be the
+        # previous request's on this connection.
+        sent_id = self.headers.get("X-Request-Id") if self.command else None
+        self._request_id = request_id = sent_id or new_request_id()
+        message = message or self.responses.get(code, ("error",))[0]
+        self.log_error("code %d, message %s", code, message)
+        error_code = "method_not_allowed" if code == 501 else "bad_request"
+        body = json.dumps(error_envelope(error_code, message, request_id))
+        self._write_response(code, "application/json", body.encode("utf-8"))
 
     def _send_json(
         self,
@@ -350,19 +559,12 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
             and "request_id" not in payload
         ):
             payload = {**payload, "request_id": request_id}
-        body = json.dumps(payload).encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._write_response(
+            status,
+            "application/json",
+            json.dumps(payload).encode("utf-8"),
+            headers=headers,
+        )
 
     def _send_error_envelope(
         self,
@@ -379,17 +581,11 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _send_text(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if getattr(self, "_request_id", None) is not None:
-            self.send_header("X-Request-Id", self._request_id)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._write_response(
+            status,
+            "text/plain; version=0.0.4; charset=utf-8",
+            text.encode("utf-8"),
+        )
 
     def _begin_request(self) -> None:
         self._started = time.perf_counter()

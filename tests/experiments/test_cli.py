@@ -110,6 +110,26 @@ def test_malformed_mining_variable_is_a_clean_error(monkeypatch, capsys):
     assert err == "error: REPRO_WORKERS must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "env", "n"),
+    [
+        (["--dataset", "german", "--n", "-5"], {}, -5),
+        (["--dataset", "german", "--n", "0"], {}, 0),
+        (["--dataset", "german"], {"REPRO_GERMAN_N": "-5"}, -5),
+        (["--dataset", "stackoverflow"], {"REPRO_SO_N": "0"}, 0),
+    ],
+    ids=["flag-negative", "flag-zero", "german-env-negative", "so-env-zero"],
+)
+def test_row_count_below_one_is_a_clean_error(argv, env, n, monkeypatch, capsys):
+    for name in ("REPRO_FULL", "REPRO_SO_N", "REPRO_GERMAN_N"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["run", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: row count n must be at least 1, got {n}\n"
+
+
 def test_serve_parser_arguments():
     args = build_parser().parse_args(
         ["serve", "--artifact", "ruleset.json", "--port", "9000"]
