@@ -58,7 +58,9 @@ _EXPORTS = {
             "Table", "Schema", "AttributeSpec", "AttributeKind", "AttributeRole",
             "read_csv", "write_csv",
         )),
-        ("repro.mining", ("Pattern", "Predicate", "Operator", "apriori")),
+        ("repro.mining", ("Pattern", "Predicate", "Operator")),
+        # Not "repro.mining": there, ``apriori`` is the submodule once loaded.
+        ("repro.mining.apriori", ("apriori",)),
         ("repro.causal", (
             "CausalDAG", "CateResult", "LinearAdjustmentEstimator",
             "StratifiedEstimator", "estimate_cate", "backdoor_adjustment_set",

@@ -6,11 +6,24 @@
   (Step 1 of FairCap, Sec. 5.1),
 - :mod:`~repro.mining.lattice` — the intervention-pattern lattice with
   positive-effect pruning (Step 2 scaffolding, Sec. 5.2).
+
+The Apriori names resolve on first access (PEP 562): they need numpy,
+which matching a pattern against one row does not.  ``apriori`` names
+both a submodule and the function it defines, so which of the two
+``repro.mining.apriori`` is depends on what was imported first;
+``repro.apriori`` and ``from repro.mining.apriori import apriori`` are
+always the function.
 """
 
+import importlib
+
 from repro.mining.patterns import Operator, Predicate, Pattern
-from repro.mining.apriori import AprioriResult, FrequentPattern, apriori
 from repro.mining.lattice import LatticeNode, traverse_lattice
+
+_LAZY = {
+    name: "repro.mining.apriori"
+    for name in ("AprioriResult", "FrequentPattern", "apriori")
+}
 
 __all__ = [
     "Operator",
@@ -22,3 +35,16 @@ __all__ = [
     "LatticeNode",
     "traverse_lattice",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -3,7 +3,8 @@
 A predicate is ``attribute op value`` with
 ``op ∈ {=, ≠, <, >, ≤, ≥}``; a pattern is a conjunction of predicates.
 Patterns evaluate to boolean row masks over a :class:`~repro.tabular.Table`,
-so coverage is a single vectorised pass.
+so coverage is a single vectorised pass; they also match single row
+dictionaries, which needs no numpy (the serving tier never loads it).
 
 Patterns are immutable, hashable and canonically ordered (sorted by
 attribute, operator, value text), so two patterns with the same predicates in
@@ -15,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-import numpy as np
-
-from repro.tabular.table import Table
 from repro.utils.errors import PatternError
+
+if TYPE_CHECKING:  # pragma: no cover - row matching needs no numpy
+    import numpy as np
+
+    from repro.tabular.table import Table
 
 
 class Operator(str, Enum):
@@ -230,6 +233,8 @@ class Pattern:
         """
         if getattr(table, "is_sharded", False):
             return table.pattern_mask(self)
+        import numpy as np
+
         result = np.ones(table.n_rows, dtype=bool)
         for pred in self.predicates:
             result &= pred.mask(table)

@@ -8,11 +8,15 @@ a display name and cached masks.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.mining.patterns import Pattern
-from repro.tabular.table import Table
 from repro.utils.errors import PatternError
+
+if TYPE_CHECKING:  # pragma: no cover - serving never builds masks
+    import numpy as np
+
+    from repro.tabular.table import Table
 
 
 class ProtectedGroup:

@@ -26,15 +26,16 @@ times per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from repro.mining.patterns import Pattern
 from repro.rules.protected import ProtectedGroup
 from repro.rules.rule import PrescriptionRule
-from repro.tabular.table import Table
 from repro.utils.errors import PatternError
+
+if TYPE_CHECKING:  # pragma: no cover - a served RuleSet needs no numpy
+    import numpy as np
+
+    from repro.tabular.table import Table
 
 
 class RuleSet:
@@ -147,6 +148,8 @@ class RulesetEvaluator:
         rules: Sequence[PrescriptionRule],
         protected: ProtectedGroup,
     ) -> None:
+        import numpy as np
+
         self.table = table
         self.rules: tuple[PrescriptionRule, ...] = tuple(rules)
         self.protected = protected
@@ -196,6 +199,8 @@ class RulesetEvaluator:
 
     def metrics(self, indices: Sequence[int]) -> RulesetMetrics:
         """Compute Eqs. 5-7 and coverage for the subset ``indices``."""
+        import numpy as np
+
         self._check_indices(indices)
         indices = list(indices)
         if not indices:

@@ -22,16 +22,16 @@ validate requests and resolve protected-group membership.
 
 Numbers are serialized at full precision (Python's ``repr`` round-trips
 floats exactly), and numpy scalars are converted to their plain Python
-equivalents, so deserialized rules compare equal to the originals.
+equivalents, so deserialized rules compare equal to the originals.  Loading
+an artifact needs no numpy.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import numpy as np
 
 from repro.mining.patterns import Operator, Pattern, Predicate
 from repro.rules.protected import ProtectedGroup
@@ -46,6 +46,9 @@ ARTIFACT_VERSION = 1
 
 def _plain(value: object) -> object:
     """Convert numpy scalars to plain Python values for JSON round-trips."""
+    np = sys.modules.get("numpy")
+    if np is None:  # no numpy scalar can exist before numpy is loaded
+        return value
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):

@@ -29,16 +29,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.rules.protected import ProtectedGroup
 from repro.rules.ruleset import RuleSet
 from repro.serve.artifact import ServingArtifact, pattern_to_list
 from repro.serve.index import CompiledRuleIndex
 from repro.tabular.schema import AttributeKind, Schema
-from repro.tabular.table import Table
+
+if TYPE_CHECKING:  # pragma: no cover - serving resolves without numpy
+    from repro.tabular.table import Table
 
 #: Cache-key value of an attribute the profile lacks; ``None`` is a value.
 _ABSENT = object()
@@ -120,10 +120,8 @@ class PrescriptionEngine:
             else None
         )
         self.index = CompiledRuleIndex(ruleset.rules, numeric_attributes=numeric)
-        self._utilities = np.array([r.utility for r in ruleset], dtype=np.float64)
-        self._utilities_p = np.array(
-            [r.utility_protected for r in ruleset], dtype=np.float64
-        )
+        self._utilities = tuple(float(r.utility) for r in ruleset)
+        self._utilities_p = tuple(float(r.utility_protected) for r in ruleset)
         self._interventions: tuple[tuple[dict, ...], ...] = tuple(
             tuple(pattern_to_list(r.intervention)) for r in ruleset
         )
@@ -164,17 +162,16 @@ class PrescriptionEngine:
         return bool(self.protected.pattern.matches_row(row))
 
     def _resolve(
-        self, matched: Sequence[int], is_protected: bool | None
+        self, matched: tuple[int, ...], is_protected: bool | None
     ) -> Prescription:
-        matched = tuple(int(i) for i in matched)
         if not matched:
             return Prescription(None, (), 0.0, is_protected, ())
         if is_protected:
             chosen = min(matched, key=lambda i: (self._utilities_p[i], i))
-            utility = float(self._utilities_p[chosen])
+            utility = self._utilities_p[chosen]
         else:
             chosen = max(matched, key=lambda i: (self._utilities[i], -i))
-            utility = float(self._utilities[chosen])
+            utility = self._utilities[chosen]
         return Prescription(
             rule_index=chosen,
             matched_rules=matched,
@@ -237,6 +234,8 @@ class PrescriptionEngine:
         resolution is a masked argmax/argmin per row.  Results are
         bit-identical to calling :meth:`prescribe` row by row.
         """
+        import numpy as np
+
         matched = self.index.match_table(table)  # (n_rules, n_rows)
         n_rows = table.n_rows
 
@@ -258,9 +257,11 @@ class PrescriptionEngine:
                 for i in range(n_rows)
             ]
 
+        utilities = np.array(self._utilities)
+        utilities_p = np.array(self._utilities_p)
         any_match = matched.any(axis=0)
-        best = np.where(matched, self._utilities[:, None], -np.inf).argmax(axis=0)
-        worst = np.where(matched, self._utilities_p[:, None], np.inf).argmin(axis=0)
+        best = np.where(matched, utilities[:, None], -np.inf).argmax(axis=0)
+        worst = np.where(matched, utilities_p[:, None], np.inf).argmin(axis=0)
 
         results: list[Prescription] = []
         for i in range(n_rows):
@@ -271,7 +272,7 @@ class PrescriptionEngine:
                 results.append(Prescription(None, (), 0.0, is_protected, ()))
                 continue
             chosen = int(worst[i]) if is_protected else int(best[i])
-            utility = float(
+            utility = (
                 self._utilities_p[chosen] if is_protected else self._utilities[chosen]
             )
             results.append(

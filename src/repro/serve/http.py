@@ -36,11 +36,13 @@ without ``http.client.parse_headers`` and the email package.  It keeps
 http.server's request-line rules and http.client's limits: a request line
 over 65,536 bytes answers 414, and a head line over 65,536 bytes or a
 head of more than 100 lines answers 431.  A malformed head line answers
-400.  These transport rejections (and 501 for a method without a
-handler, 505 from HTTP/2.0) carry the JSON envelope too, as
-``bad_request`` or, for 501, ``method_not_allowed``.  Every response
-leaves in one ``wfile.write`` of status line, headers, blank line and
-body.
+400.  A request carrying ``Transfer-Encoding`` answers 411: bodies are
+framed by ``Content-Length`` alone.  These transport rejections (and 501
+for a method without a handler, 505 from HTTP/2.0) carry the JSON
+envelope too, as ``bad_request`` or, for 501, ``method_not_allowed``,
+close the connection, and are counted in ``http.requests`` and the
+access log like routed requests.  Every response leaves in one
+``wfile.write`` of status line, headers, blank line and body.
 
 Concurrency model:
 
@@ -106,8 +108,9 @@ _V1_POST = frozenset({"/v1/prescribe", "/v1/artifacts/activate"})
 
 #: Routes that get their own ``path`` metric label; anything else is folded
 #: into ``other`` so arbitrary scanned paths cannot blow up label
-#: cardinality.
+#: cardinality.  Methods fold the same way: only routed ones keep a label.
 _KNOWN_PATHS = _V1_GET | _V1_POST
+_KNOWN_METHODS = frozenset({"GET", "POST"})
 
 #: Endpoints operators need while the gate is closed or the server drains.
 _OPS_PATHS = frozenset({"/v1/health", "/v1/metrics"})
@@ -441,6 +444,13 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
         self.headers = headers = self.MessageClass()
         if not self._read_head(headers):
             return False
+        if "Transfer-Encoding" in headers:
+            # Bodies are framed by Content-Length alone: a chunked body
+            # left on the socket would be read as the next request.
+            self.send_error(
+                411, "Transfer-Encoding is not supported; send Content-Length"
+            )
+            return False
 
         conntype = headers.get("Connection", "").lower()
         if conntype == "close":
@@ -530,20 +540,40 @@ class PrescriptionRequestHandler(BaseHTTPRequestHandler):
         http.server calls this for a request line longer than 65,536 bytes
         (414) and a method without a ``do_`` handler (501); ``parse_request``
         for a malformed request line or version (400), a version from 2.0
-        (505), a malformed head line (400) and an oversized head (431).
-        The connection closes after each.  ``explain`` is ignored.
+        (505), a malformed head line (400), an oversized head (431) and a
+        ``Transfer-Encoding`` (411).  The connection closes after each.
+        Each is counted in ``http.requests`` and logged as an
+        ``http.request`` line, without a latency: it is answered before a
+        route starts its clock.  ``explain`` is ignored.
         """
         self.close_connection = True
-        # ``headers`` is this request's own (possibly partial) head once
-        # parse_request has set ``command``; before that it may be the
-        # previous request's on this connection.
-        sent_id = self.headers.get("X-Request-Id") if self.command else None
+        # ``headers`` and ``path`` are this request's own (``headers``
+        # possibly partial) once parse_request has set ``command``; before
+        # that they may be the previous request's on this connection.
+        command = self.command or None
+        sent_id = self.headers.get("X-Request-Id") if command else None
         self._request_id = request_id = sent_id or new_request_id()
         message = message or self.responses.get(code, ("error",))[0]
-        self.log_error("code %d, message %s", code, message)
         error_code = "method_not_allowed" if code == 501 else "bad_request"
         body = json.dumps(error_envelope(error_code, message, request_id))
         self._write_response(code, "application/json", body.encode("utf-8"))
+        path = self.path if command else None
+        self.server.metrics.inc(
+            "http.requests",
+            1,
+            method=command if command in _KNOWN_METHODS else "other",
+            path=path if path in _KNOWN_PATHS else "other",
+            status=code,
+        )
+        self.server.logger.log(
+            "http.request",
+            request_id=request_id,
+            method=command,
+            path=path,
+            status=code,
+            error=message,
+            client=self.address_string(),
+        )
 
     def _send_json(
         self,

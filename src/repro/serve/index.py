@@ -9,17 +9,20 @@ per rule.  The index compiles the ruleset once into per-attribute
   predicate getting an integer id;
 - **categorical** attributes get a hash bucket per equality value
   (``value -> predicate ids``) plus a short inequality list;
-- **numeric** attributes get a sorted threshold array per ordered operator,
-  so the satisfied predicates are a ``searchsorted`` slice — ``O(log t)``
-  per attribute instead of ``O(t)``;
+- **numeric** attributes get a sorted threshold tuple per ordered operator,
+  so the satisfied predicates are a ``bisect`` slice — ``O(log t)`` per
+  attribute instead of ``O(t)``; a NaN threshold is never satisfied, as
+  every ordered comparison with NaN is false;
 - a rule matches iff *all* its predicates are satisfied, checked by counting
   satisfied predicate ids against the rule's requirement count (rules with
   an empty grouping pattern require nothing and always match).
 
+The single-individual path (:meth:`CompiledRuleIndex.match_indices`, the
+one ``repro serve`` runs) is plain Python over tuples and needs no numpy.
 The batch path (:meth:`CompiledRuleIndex.match_table`) evaluates each
 distinct predicate once as a vectorized column mask and accumulates the same
-counts over all rows at once — the bulk-scoring workhorse behind
-``POST /v1/prescribe`` with many individuals.
+counts over all rows at once; it and the boolean-vector forms import numpy
+when called.
 
 :func:`naive_match_row` / :func:`naive_match_table` are the reference
 implementations the tests and benchmark compare against.
@@ -27,40 +30,48 @@ implementations the tests and benchmark compare against.
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Iterable, Mapping, Sequence
+import sys
+from bisect import bisect_left, bisect_right
+from itertools import compress
+from operator import eq
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from repro.mining.patterns import Operator, Pattern, Predicate
+from repro.mining.patterns import Operator, Predicate
 from repro.rules.rule import PrescriptionRule
-from repro.tabular.table import Table
 from repro.utils.errors import PatternError, ServeError
+
+if TYPE_CHECKING:  # pragma: no cover - serving matches without numpy
+    import numpy as np
+
+    from repro.tabular.table import Table
 
 _ORDERED_OPS = (Operator.LT, Operator.GT, Operator.LE, Operator.GE)
 
 
 def _is_numeric_value(value: object) -> bool:
-    return isinstance(value, (bool, int, float, np.integer, np.floating))
+    if isinstance(value, (bool, int, float)):
+        return True
+    # A numpy scalar can only exist once numpy is loaded.
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, (np.integer, np.floating))
 
 
 class _NumericPlan:
     """Discrimination maps for one numeric attribute.
 
-    Ordered operators keep ``(threshold, predicate id)`` pairs sorted by
-    threshold; a lookup takes the ``searchsorted`` slice of satisfied ids.
-    Equality/inequality use a float-keyed bucket and a short list.
+    Ordered operators keep parallel (thresholds, predicate ids) tuples
+    sorted by threshold; a lookup takes the ``bisect`` slice of satisfied
+    ids.  Equality/inequality use a float-keyed bucket and a short list.
     """
 
     def __init__(self) -> None:
-        self._sorted: dict[Operator, list[tuple[float, int]]] = {
+        self._pairs: dict[Operator, list[tuple[float, int]]] = {
             op: [] for op in _ORDERED_OPS
         }
         self.eq_buckets: dict[float, list[int]] = {}
         self.ne_pairs: list[tuple[float, int]] = []
-        # Built by freeze(): parallel (thresholds, pred ids) arrays per op.
-        self._thresholds: dict[Operator, np.ndarray] = {}
-        self._pred_ids: dict[Operator, np.ndarray] = {}
+        # Built by freeze(): (thresholds, pred ids) per ordered operator.
+        self._sorted: dict[Operator, tuple[tuple[float, ...], tuple[int, ...]]] = {}
 
     def add(self, operator: Operator, value: object, pred_id: int) -> None:
         threshold = float(value)  # type: ignore[arg-type]
@@ -68,15 +79,15 @@ class _NumericPlan:
             self.eq_buckets.setdefault(threshold, []).append(pred_id)
         elif operator is Operator.NE:
             self.ne_pairs.append((threshold, pred_id))
-        else:
-            insort(self._sorted[operator], (threshold, pred_id))
+        elif threshold == threshold:  # x < NaN etc. is never true: drop it
+            self._pairs[operator].append((threshold, pred_id))
 
     def freeze(self) -> None:
-        for op, pairs in self._sorted.items():
-            self._thresholds[op] = np.array(
-                [t for t, __ in pairs], dtype=np.float64
+        for op, pairs in self._pairs.items():
+            pairs.sort()
+            self._sorted[op] = (
+                tuple(t for t, __ in pairs), tuple(p for __, p in pairs)
             )
-            self._pred_ids[op] = np.array([p for __, p in pairs], dtype=np.int64)
 
     def satisfied(self, value: object, out: list[int]) -> None:
         """Append the ids of predicates this attribute value satisfies."""
@@ -89,17 +100,17 @@ class _NumericPlan:
             if x != threshold:
                 out.append(pred_id)
         # x < t  <=>  t > x: thresholds strictly right of x.
-        lt = self._thresholds[Operator.LT]
-        out.extend(self._pred_ids[Operator.LT][np.searchsorted(lt, x, "right"):])
+        thresholds, ids = self._sorted[Operator.LT]
+        out.extend(ids[bisect_right(thresholds, x):])
         # x <= t <=>  t >= x.
-        le = self._thresholds[Operator.LE]
-        out.extend(self._pred_ids[Operator.LE][np.searchsorted(le, x, "left"):])
+        thresholds, ids = self._sorted[Operator.LE]
+        out.extend(ids[bisect_left(thresholds, x):])
         # x > t  <=>  t < x: thresholds strictly left of x.
-        gt = self._thresholds[Operator.GT]
-        out.extend(self._pred_ids[Operator.GT][: np.searchsorted(gt, x, "left")])
+        thresholds, ids = self._sorted[Operator.GT]
+        out.extend(ids[: bisect_left(thresholds, x)])
         # x >= t <=>  t <= x.
-        ge = self._thresholds[Operator.GE]
-        out.extend(self._pred_ids[Operator.GE][: np.searchsorted(ge, x, "right")])
+        thresholds, ids = self._sorted[Operator.GE]
+        out.extend(ids[: bisect_right(thresholds, x)])
 
 
 class _CategoricalPlan:
@@ -137,7 +148,7 @@ class CompiledRuleIndex:
     ----------
     rules:
         The prescription rules to index; rule order is preserved, and
-        match results are boolean arrays aligned with it.
+        match results (rule indices, or boolean arrays) are aligned with it.
     numeric_attributes:
         Attributes to treat as numeric.  When omitted, an attribute is
         numeric iff every predicate value on it is a number — pass the
@@ -166,16 +177,14 @@ class CompiledRuleIndex:
             rule_pred_lists.append(ids)
 
         self._predicates: tuple[Predicate, ...] = tuple(pred_ids)
-        self._required = np.array(
-            [len(ids) for ids in rule_pred_lists], dtype=np.int16
-        )
-        # predicate id -> array of rule indices containing it.
+        self._required: tuple[int, ...] = tuple(len(ids) for ids in rule_pred_lists)
+        # predicate id -> indices of the rules containing it.
         containing: list[list[int]] = [[] for __ in self._predicates]
         for rule_index, ids in enumerate(rule_pred_lists):
             for pred_id in ids:
                 containing[pred_id].append(rule_index)
-        self._pred_rules: tuple[np.ndarray, ...] = tuple(
-            np.array(rule_indices, dtype=np.int64) for rule_indices in containing
+        self._pred_rules: tuple[tuple[int, ...], ...] = tuple(
+            tuple(rule_indices) for rule_indices in containing
         )
 
         self._plans: dict[str, _NumericPlan | _CategoricalPlan] = {}
@@ -219,8 +228,8 @@ class CompiledRuleIndex:
 
     # -- matching ---------------------------------------------------------------
 
-    def match_row(self, row: Mapping[str, object]) -> np.ndarray:
-        """Boolean match vector (one entry per rule) for one individual.
+    def match_indices(self, row: Mapping[str, object]) -> tuple[int, ...]:
+        """Indices of the rules matching ``row``, in rule order.
 
         Every indexed attribute must be present in ``row``; a
         :class:`~repro.utils.errors.ServeError` names the missing ones.
@@ -237,14 +246,20 @@ class CompiledRuleIndex:
                 raise ServeError(
                     f"attribute {attribute!r}: cannot compare value {value!r}"
                 ) from None
-        counts = np.zeros(len(self.rules), dtype=np.int16)
+        counts = [0] * len(self.rules)
+        pred_rules = self._pred_rules
         for pred_id in satisfied:
-            counts[self._pred_rules[pred_id]] += 1
-        return counts == self._required
+            for rule_index in pred_rules[pred_id]:
+                counts[rule_index] += 1
+        return tuple(compress(range(len(counts)), map(eq, counts, self._required)))
 
-    def match_indices(self, row: Mapping[str, object]) -> tuple[int, ...]:
-        """Indices of the rules matching ``row``, in rule order."""
-        return tuple(int(i) for i in np.flatnonzero(self.match_row(row)))
+    def match_row(self, row: Mapping[str, object]) -> np.ndarray:
+        """Boolean match vector (one entry per rule) for one individual."""
+        import numpy as np
+
+        matched = np.zeros(len(self.rules), dtype=bool)
+        matched[list(self.match_indices(row))] = True
+        return matched
 
     def match_table(self, table: Table) -> np.ndarray:
         """Boolean match matrix of shape ``(n_rules, n_rows)``.
@@ -252,12 +267,12 @@ class CompiledRuleIndex:
         Each distinct predicate is evaluated once as a vectorized column
         mask and its contribution accumulated into all containing rules.
         """
-        n_rows = table.n_rows
-        counts = np.zeros((len(self.rules), n_rows), dtype=np.int16)
+        import numpy as np
+
+        counts = np.zeros((len(self.rules), table.n_rows), dtype=np.int16)
         for pred, rule_indices in zip(self._predicates, self._pred_rules):
-            mask = pred.mask(table)
-            counts[rule_indices] += mask.astype(np.int16)
-        return counts == self._required[:, None]
+            counts[list(rule_indices)] += pred.mask(table).astype(np.int16)
+        return counts == np.array(self._required, dtype=np.int16)[:, None]
 
 
 # -- naive references ------------------------------------------------------------
@@ -267,11 +282,15 @@ def naive_match_row(
     rules: Sequence[PrescriptionRule], row: Mapping[str, object]
 ) -> np.ndarray:
     """Per-rule predicate scan over one individual (reference semantics)."""
+    import numpy as np
+
     return np.array([rule.grouping.matches_row(row) for rule in rules], dtype=bool)
 
 
 def naive_match_table(rules: Sequence[PrescriptionRule], table: Table) -> np.ndarray:
     """Per-rule full-mask evaluation over a table (reference semantics)."""
+    import numpy as np
+
     if not rules:
         return np.zeros((0, table.n_rows), dtype=bool)
     return np.stack([rule.grouping.mask(table) for rule in rules])

@@ -11,12 +11,27 @@ columnar-table layer that FairCap actually needs, backed by numpy:
 - :class:`~repro.tabular.table.Table` — an immutable bag of equal-length
   columns with filtering, selection and sampling,
 - :mod:`~repro.tabular.io` — CSV round-tripping.
+
+The numpy-backed names (columns, :class:`Table`, CSV I/O) resolve on
+first access (PEP 562); the schema alone loads without numpy.
 """
 
-from repro.tabular.column import CategoricalColumn, Column, NumericColumn, column_from_values
+import importlib
+
 from repro.tabular.schema import AttributeKind, AttributeRole, AttributeSpec, Schema
-from repro.tabular.table import Table
-from repro.tabular.io import read_csv, write_csv
+
+#: Export -> the numpy-backed submodule it is re-exported from.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("repro.tabular.column", (
+            "CategoricalColumn", "Column", "NumericColumn", "column_from_values",
+        )),
+        ("repro.tabular.table", ("Table",)),
+        ("repro.tabular.io", ("read_csv", "write_csv")),
+    )
+    for name in names
+}
 
 __all__ = [
     "CategoricalColumn",
@@ -31,3 +46,16 @@ __all__ = [
     "read_csv",
     "write_csv",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -1,14 +1,15 @@
 """Import contract: what each entry point loads, and the lazy re-exports.
 
 ``repro serve`` answers from a compiled rule index and never estimates a
-CATE, so its process must not load SciPy, networkx or the estimation
-subpackages; no process needs ``scipy.stats`` (p-values come from
-``scipy.special`` kernels), networkx (the causal DAG is an in-repo bitmask
-kernel; networkx is the tests' reference only) or
-``multiprocessing.shared_memory`` (every process builds its own design
-blocks).  ``repro`` and ``repro.rules``
-resolve their re-exports on first access (PEP 562), so the public import
-surface stays exactly what it was.
+CATE or evaluates a pattern over a table, so its process must not load
+numpy, SciPy, networkx or the estimation subpackages; no process needs
+``scipy.stats`` (p-values come from ``scipy.special`` kernels), networkx
+(the causal DAG is an in-repo bitmask kernel; networkx is the tests'
+reference only) or ``multiprocessing.shared_memory`` (every process builds
+its own design blocks).  ``repro``, ``repro.rules``, ``repro.mining``,
+``repro.tabular`` and ``repro.utils`` resolve their heavy re-exports on
+first access (PEP 562), so the public import surface stays exactly what it
+was.
 
 The two process checks run in a fresh interpreter: this test process has
 long since imported everything.
@@ -26,8 +27,16 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.mining
+import repro.mining.apriori
 import repro.rules
 import repro.rules.utility
+import repro.tabular
+import repro.tabular.column
+import repro.tabular.io
+import repro.tabular.table
+import repro.utils
+import repro.utils.rng
 from repro.mining.patterns import Pattern
 from repro.rules.protected import ProtectedGroup
 from repro.rules.rule import PrescriptionRule
@@ -39,7 +48,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Never loaded by a ``repro serve`` process.
 SERVE_FORBIDDEN = (
-    "scipy", "networkx", "repro.causal", "repro.core", "repro.experiments",
+    "numpy", "scipy", "networkx", "repro.causal", "repro.core",
+    "repro.experiments",
 )
 
 _FORBIDDEN_LOADED = """
@@ -180,8 +190,33 @@ def test_rules_rule_evaluator_resolves_lazily():
     assert set(repro.rules.__all__) <= set(namespace)
 
 
+def test_numpy_backed_names_resolve_to_their_submodules():
+    assert repro.tabular.Table is repro.tabular.table.Table
+    assert repro.tabular.Column is repro.tabular.column.Column
+    assert repro.tabular.NumericColumn is repro.tabular.column.NumericColumn
+    assert repro.tabular.read_csv is repro.tabular.io.read_csv
+    assert repro.utils.ensure_rng is repro.utils.rng.ensure_rng
+    assert repro.mining.FrequentPattern is repro.mining.apriori.FrequentPattern
+    # The submodule is loaded (imported above), yet the top-level export
+    # is still the function.
+    assert callable(repro.apriori)
+    assert repro.apriori is repro.mining.apriori.apriori
+
+
 @pytest.mark.parametrize(
-    "module", [repro, repro.rules], ids=["repro", "repro.rules"]
+    "module", [repro.mining, repro.tabular, repro.utils], ids=lambda m: m.__name__
+)
+def test_star_import_covers_all(module):
+    assert set(module.__all__) <= set(dir(module))
+    namespace: dict = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [repro, repro.rules, repro.mining, repro.tabular, repro.utils],
+    ids=lambda m: m.__name__,
 )
 def test_unknown_name_raises_attribute_error(module):
     with pytest.raises(AttributeError, match="no_such_export"):

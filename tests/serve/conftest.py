@@ -9,6 +9,7 @@ lists.
 
 from __future__ import annotations
 
+import socket
 import time
 
 import numpy as np
@@ -87,6 +88,22 @@ def random_row(rng: np.random.Generator) -> dict[str, object]:
         row[attribute] = base if rng.random() < 0.5 else base + float(rng.random())
     row["Gender"] = ("F", "M")[rng.integers(2)]
     return row
+
+
+def exchange(port: int, data: bytes) -> bytes:
+    """Send ``data`` to a local server, half-close, read until it closes."""
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            # A rejection closes with part of an oversized request unread,
+            # so the close is a reset; the response was read before it.
+            pass
+    return b"".join(chunks)
 
 
 def wait_until(predicate, timeout: float = 2.0):

@@ -9,8 +9,9 @@ body) in one ``wfile.write``.  These tests pin that:
 - on well-formed heads the parsed ``headers`` answer exactly as
   ``http.client.parse_headers`` would (a hypothesis differential);
 - http.server's limits and version rules still hold, malformed head lines
-  answer 400, and every rejection http.server used to answer with an HTML
-  page carries the JSON error envelope;
+  answer 400, a ``Transfer-Encoding`` answers 411 and closes, and every
+  rejection http.server used to answer with an HTML page carries the JSON
+  error envelope;
 - each response reaches the socket in one write, counted by a proxy
   around ``wfile``;
 - serving a request runs neither ``http.client.parse_headers`` nor the
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.serve.engine import PrescriptionEngine
 from repro.serve.http import PrescriptionRequestHandler, make_server
+from tests.serve.conftest import exchange
 
 US_ROW = {"Country": "US", "Age": 35.0, "Gender": "M"}
 
@@ -92,22 +94,6 @@ def live_server(engine):
         yield server
     finally:
         _stop(server, thread)
-
-
-def _exchange(port: int, data: bytes) -> bytes:
-    """Send ``data``, half-close, and read until the server closes."""
-    chunks = []
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(data)
-        sock.shutdown(socket.SHUT_WR)
-        try:
-            while chunk := sock.recv(65536):
-                chunks.append(chunk)
-        except ConnectionResetError:
-            # A rejection closes with part of an oversized request unread,
-            # so the close is a reset; the response was read before it.
-            pass
-    return b"".join(chunks)
 
 
 def _split(response: bytes) -> tuple[str, dict[str, str], bytes]:
@@ -217,14 +203,14 @@ def test_duplicate_names_keep_every_value_and_get_the_first():
 def test_header_line_over_the_limit_is_431(live_server):
     line = "X-Long: " + "a" * (65537 - len("X-Long: ") - 2)
     assert len(line) + 2 == 65537
-    response = _exchange(live_server.port, _request("GET", "/v1/health", line))
+    response = exchange(live_server.port, _request("GET", "/v1/health", line))
     error = _envelope(response, 431, "bad_request")
     assert "65536" in error["message"]
 
 
 def test_a_line_at_the_limit_is_accepted(live_server):
     line = "X-Long: " + "a" * (65536 - len("X-Long: ") - 2)
-    response = _exchange(
+    response = exchange(
         live_server.port, _request("GET", "/v1/health", line, "Connection: close")
     )
     assert response.startswith(b"HTTP/1.1 200 OK\r\n")
@@ -235,7 +221,7 @@ def test_head_line_count_limit(live_server, fields, status):
     # http.client counts the blank line that ends the head toward its
     # 100-line limit; "Host" and "Connection" are two of the fields.
     lines = [f"X-F{i}: v" for i in range(fields - 2)]
-    response = _exchange(
+    response = exchange(
         live_server.port, _request("GET", "/v1/health", "Connection: close", *lines)
     )
     if status == 200:
@@ -250,7 +236,7 @@ def test_head_line_count_limit(live_server, fields, status):
     ids=["no-colon", "space-before-colon", "tab-before-colon", "obs-fold"],
 )
 def test_malformed_head_line_is_400(live_server, line):
-    response = _exchange(
+    response = exchange(
         live_server.port,
         _request("GET", "/v1/health", "X-Request-Id: rid-1", line),
     )
@@ -261,7 +247,7 @@ def test_malformed_head_line_is_400(live_server, line):
 
 
 def test_bare_cr_inside_a_value_is_400(live_server):
-    response = _exchange(
+    response = exchange(
         live_server.port,
         b"GET /v1/health HTTP/1.1\r\nX-A: one\rX-B: two\r\n\r\n",
     )
@@ -280,26 +266,26 @@ def test_bare_cr_inside_a_value_is_400(live_server):
     ids=["http2", "http3", "bad-minor", "not-http", "four-words"],
 )
 def test_request_line_rejections(live_server, request_line, status):
-    response = _exchange(live_server.port, request_line + b"\r\n\r\n")
+    response = exchange(live_server.port, request_line + b"\r\n\r\n")
     _envelope(response, status, "bad_request")
 
 
 def test_http09_allows_only_get(live_server):
     # HTTP/0.9 answers carry no head: the body alone is the envelope.
-    response = _exchange(live_server.port, b"POST /v1/prescribe\r\n\r\n")
+    response = exchange(live_server.port, b"POST /v1/prescribe\r\n\r\n")
     assert json.loads(response)["error"]["code"] == "bad_request"
-    response = _exchange(live_server.port, b"GET /v1/health\r\n\r\n")
+    response = exchange(live_server.port, b"GET /v1/health\r\n\r\n")
     assert json.loads(response)["status"] == "ok"
 
 
 def test_request_line_over_the_limit_is_414(live_server):
     path = "/" + "a" * 65540
-    response = _exchange(live_server.port, f"GET {path} HTTP/1.1\r\n\r\n".encode())
+    response = exchange(live_server.port, f"GET {path} HTTP/1.1\r\n\r\n".encode())
     _envelope(response, 414, "bad_request")
 
 
 def test_unsupported_method_is_501_json(live_server):
-    response = _exchange(
+    response = exchange(
         live_server.port,
         _request("PUT", "/v1/prescribe", "X-Request-Id: put-1", body=b"{}"),
     )
@@ -308,8 +294,30 @@ def test_unsupported_method_is_501_json(live_server):
     assert "PUT" in error["message"]
 
 
+@pytest.mark.parametrize("with_length", [False, True], ids=["chunked", "and-length"])
+def test_transfer_encoding_is_411_then_eof(live_server, with_length):
+    """A chunked body is never read as the next request on the connection."""
+    body = json.dumps({"individual": US_ROW}).encode()
+    lines = ["Transfer-Encoding: chunked", "X-Request-Id: te-1"]
+    if with_length:
+        lines.append(f"Content-Length: {len(body)}")
+    chunked = f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+    pipelined = _request("GET", "/v1/health")
+    with socket.create_connection(("127.0.0.1", live_server.port), timeout=10) as sock:
+        sock.sendall(_request("POST", "/v1/prescribe", *lines) + chunked + pipelined)
+        status, headers, payload = _read_one(sock)
+        # Exactly one response: the chunks and the GET are never answered.
+        assert _closed_by_server(sock)
+    assert status == "HTTP/1.1 411 Length Required"
+    assert headers["Connection"] == "close"
+    error = json.loads(payload)["error"]
+    assert error["code"] == "bad_request"
+    assert error["request_id"] == headers["X-Request-Id"] == "te-1"
+    assert "Transfer-Encoding" in error["message"]
+
+
 def test_head_method_states_the_length_but_sends_no_body(live_server):
-    response = _exchange(live_server.port, _request("HEAD", "/v1/health"))
+    response = exchange(live_server.port, _request("HEAD", "/v1/health"))
     status, headers, body = _split(response)
     assert status == "HTTP/1.1 501 Not Implemented"
     assert int(headers["Content-Length"]) > 0
@@ -317,7 +325,7 @@ def test_head_method_states_the_length_but_sends_no_body(live_server):
 
 
 def test_leading_double_slash_collapses(live_server):
-    response = _exchange(
+    response = exchange(
         live_server.port, _request("GET", "//v1/health", "Connection: close")
     )
     assert response.startswith(b"HTTP/1.1 200 OK\r\n")
@@ -375,7 +383,7 @@ def test_connection_persistence(live_server, version, connection, closes):
 def _one_write(server, request: bytes) -> bytes:
     """Exchange ``request`` on a fresh connection; assert one write made it."""
     before = len(server.connection_writes)
-    response = _exchange(server.port, request)
+    response = exchange(server.port, request)
     writes = server.connection_writes[before:]
     assert [len(w) for w in writes] == [1], writes
     assert writes[0][0] == response
@@ -408,6 +416,11 @@ def test_every_response_is_one_write(live_server):
         (b"GET /v1/health HTTP/2.0\r\n\r\n", 505),
         (b"GET /v1/health HTTP/1.1\r\nX: " + b"a" * 70_000 + b"\r\n\r\n", 431),
         (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (
+            _request("POST", "/v1/prescribe", "Transfer-Encoding: chunked")
+            + b"2\r\n{}\r\n0\r\n\r\n",
+            411,
+        ),
     ]
     for request, status in cases:
         response = _one_write(live_server, request)
@@ -437,7 +450,7 @@ def test_keep_alive_responses_are_one_write_each(live_server):
 
 
 def test_date_header_is_an_http_date(live_server):
-    response = _exchange(
+    response = exchange(
         live_server.port, _request("GET", "/v1/health", "Connection: close")
     )
     date = _split(response)[1]["Date"]

@@ -122,6 +122,60 @@ def test_nan_value_matches_naive_semantics(toy_ruleset):
     assert index.match_row(row)[3]  # NaN != 30 is True
 
 
+def test_nan_threshold_is_never_satisfied():
+    """Every ordered comparison with a NaN threshold is False (naive parity)."""
+    nan = float("nan")
+    rules = [
+        PrescriptionRule(
+            Pattern([Predicate("Age", op, value)]), Pattern.of(T="a"),
+            1.0, 1.0, 1.0, 10, 5,
+        )
+        for op, value in (
+            (Operator.LT, nan), (Operator.GE, 30.0),
+            (Operator.LE, nan), (Operator.GT, 10.0),
+        )
+    ]
+    row = {"Age": 20.0}
+    index = CompiledRuleIndex(rules)
+    assert index.match_indices(row) == (3,)
+    np.testing.assert_array_equal(index.match_row(row), naive_match_row(rules, row))
+
+
+# Finite floats, signed zeros, infinities and NaN; the small pool makes
+# values land exactly on thresholds (and on zeros of the other sign).
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1.0, -1.0, 2.5]
+)
+_FLOATS = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
+_NUMERIC_PREDICATE = st.builds(
+    Predicate, st.sampled_from(["x", "y"]), st.sampled_from(list(Operator)), _FLOATS
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    groupings=st.lists(
+        # One predicate per (attribute, operator): two equalities on one
+        # attribute would be a contradictory pattern.
+        st.lists(
+            _NUMERIC_PREDICATE, max_size=4,
+            unique_by=lambda p: (p.attribute, p.operator),
+        ),
+        max_size=8,
+    ),
+    rows=st.lists(st.fixed_dictionaries({"x": _FLOATS, "y": _FLOATS}), min_size=1),
+)
+def test_match_indices_equals_naive_scan_on_special_floats(groupings, rows):
+    rules = [
+        PrescriptionRule(Pattern(g), Pattern.of(T="a"), 1.0, 1.0, 1.0, 10, 5)
+        for g in groupings
+    ]
+    index = CompiledRuleIndex(rules)
+    for row in rows:
+        expected = tuple(int(i) for i in np.flatnonzero(naive_match_row(rules, row)))
+        assert index.match_indices(row) == expected, row
+
+
 def test_index_equals_naive_scan_on_10k_individuals(serve_rng):
     """Acceptance: bit-identical matches on >= 10k random individuals."""
     rules = random_rules(serve_rng, 40)

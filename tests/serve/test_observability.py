@@ -13,7 +13,7 @@ import pytest
 
 from repro.serve.engine import PrescriptionEngine
 from repro.serve.http import make_server
-from tests.serve.conftest import wait_until
+from tests.serve.conftest import exchange, wait_until
 
 
 @pytest.fixture()
@@ -149,3 +149,43 @@ def test_prescribe_latency_lands_in_the_histogram(observed_server):
     assert 'http_request_seconds_count{method="POST",path="/v1/prescribe"} 1' in text
     events = wait_until(lambda: _log_events(stream, "http.request"))
     assert any(r["path"] == "/v1/prescribe" and r["status"] == 200 for r in events)
+
+
+def test_transport_rejections_are_counted_and_logged(observed_server):
+    base, stream = observed_server
+    port = int(base.rsplit(":", 1)[1])
+    put = b"PUT /v1/prescribe HTTP/1.1\r\nX-Request-Id: put-1\r\n\r\n"
+    assert exchange(port, put).startswith(b"HTTP/1.1 501 ")
+    # 100 fields: with the blank line, one line over the 100-line head limit.
+    fields = "".join(f"X-F{i}: v\r\n" for i in range(99))
+    oversized = f"GET /v1/health HTTP/1.1\r\nX-Request-Id: big-1\r\n{fields}\r\n"
+    assert exchange(port, oversized.encode()).startswith(b"HTTP/1.1 431 ")
+
+    want = (
+        'http_requests_total{method="other",path="/v1/prescribe",status="501"} 1',
+        'http_requests_total{method="GET",path="/v1/health",status="431"} 1',
+    )
+    text = wait_until(
+        lambda: next(
+            (
+                t for t in [_get(base + "/v1/metrics")[1].decode("utf-8")]
+                if all(line in t for line in want)
+            ),
+            "",
+        )
+    )
+    assert all(line in text for line in want)
+    # A rejection has no latency: it never reaches a route's clock.
+    assert 'http_request_seconds_count{method="other"' not in text
+
+    def rejections():
+        events = {r["request_id"]: r for r in _log_events(stream, "http.request")}
+        return events if {"put-1", "big-1"} <= set(events) else {}
+
+    events = wait_until(rejections)
+    assert events["put-1"]["method"] == "PUT"
+    assert events["put-1"]["path"] == "/v1/prescribe"
+    assert events["put-1"]["status"] == 501
+    assert events["big-1"]["status"] == 431
+    assert "100 lines" in events["big-1"]["error"]
+    assert _log_events(stream, "http.message") == []
