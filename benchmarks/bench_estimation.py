@@ -169,13 +169,14 @@ def _time_step2(configs: dict, bundle, reps: int) -> dict:
 
     The first (un-timed) run warms the caches every engine shares — the
     DAG's d-separation/backdoor memos and the per-table fingerprints — so
-    no engine gets a cold-cache handicap.  Per-run state (the estimation
-    cache) is rebuilt inside every ``FairCap`` run either way.  The engine
-    order is rotated every rep (a fixed order hands whichever engine runs
-    after the slow scalar pass a systematic thermal/cache handicap), and
-    the *minimum* across reps is reported: on shared single-core boxes the
-    minimum is the interference-robust statistic — any slower sample is
-    the same deterministic computation plus noise.
+    no engine gets a cold-cache handicap.  No run carries an estimation
+    cache: ``FairCap`` builds none unless its caller passes one, and this
+    bench passes none.  The engine order is rotated every rep (a fixed
+    order hands whichever engine runs after the slow scalar pass a
+    systematic thermal/cache handicap), and the *minimum* across reps is
+    reported: on shared single-core boxes the minimum is the
+    interference-robust statistic — any slower sample is the same
+    deterministic computation plus noise.
     """
     _run(next(iter(configs.values())), bundle)
     times: dict[str, list[float]] = {name: [] for name in configs}
@@ -418,7 +419,7 @@ def _measure_scale_curve() -> dict:
     return {
         "world": SCALE_WORLD,
         "shard_rows": SCALE_SHARD_ROWS,
-        "mining_config": "default engine, cache_size=0 (both modes)",
+        "mining_config": "default engine, no estimation cache (both modes)",
         "points": points,
         "rss_bounded_at_largest": (
             largest["sharded"]["hwm_kb"] < largest["in_ram"]["hwm_kb"]

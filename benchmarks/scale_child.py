@@ -15,7 +15,6 @@ Invoked as::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import shutil
 import sys
@@ -46,12 +45,13 @@ def main() -> int:
         int(sys.argv[4]),
     )
     world = ScenarioWorld(spec_by_name(name))
-    # The default Step-2 engine without an estimation cache on BOTH sides,
-    # so the peaks compare the data layer — the same configuration as the
-    # memory-cap regression test (tests/integration/test_memory_cap.py).
-    # Factorizations die with their context's sub-table in every
-    # configuration, so neither side retains designs across contexts.
-    config = dataclasses.replace(oracle_config(world), cache_size=0)
+    # The default Step-2 engine, which runs without an estimation cache, on
+    # BOTH sides, so the peaks compare the data layer — the same
+    # configuration as the memory-cap regression test
+    # (tests/integration/test_memory_cap.py).  Factorizations die with
+    # their context's sub-table, so neither side retains designs across
+    # contexts.
+    config = oracle_config(world)
     directory = tempfile.mkdtemp(prefix="bench-scale-shards-")
     try:
         start = time.perf_counter()

@@ -43,10 +43,11 @@ Quickstart — deploy it (:mod:`repro.serve`)::
     # POST /v1/prescribe {"individual": {...}} -> {"prescription": {...}}
 
 The names in ``__all__`` resolve on first access (PEP 562): ``import repro``
-loads nothing else, and ``repro serve`` never pays for the estimation stack.
+loads nothing but the resolver (:mod:`repro._lazy`), and ``repro serve``
+never pays for the estimation stack.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -96,15 +97,4 @@ _EXPORTS = {
 
 __all__ = [*_EXPORTS, "__version__"]
 
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

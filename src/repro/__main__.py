@@ -31,7 +31,7 @@ import sys
 
 def _settings(args: argparse.Namespace):
     """``ExperimentSettings`` = environment defaults <- CLI flags."""
-    from repro.experiments import ExperimentSettings
+    from repro.experiments.settings import ExperimentSettings
 
     base = ExperimentSettings.from_environment()
     so_n = args.n if args.n is not None else base.so_n
@@ -305,6 +305,10 @@ _EXPERIMENT_COMMANDS = (
     "figure3", "figure4", "figure5", "apriori-sweep", "run",
 )
 
+#: The commands whose FairCap runs share one CATE memo across a block's
+#: variants; the others run without one, so ``--cache-size`` would set nothing.
+_SHARED_CACHE_COMMANDS = ("table4", "table5", "table6")
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
@@ -327,12 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "1 = in-process (default), N > 1 = a process pool of N "
                  "workers. Results are identical for any worker count — "
                  "parallelism only changes runtime (see repro.parallel).",
-        )
-        cmd.add_argument(
-            "--cache-size", type=int, default=None, metavar="N",
-            help="CATE memo entry bound (0 disables caching for "
-                 "paper-comparable cold runtimes; default 65536). "
-                 "Caching never changes results, only runtime.",
         )
         cmd.add_argument(
             "--checkpoint-dir", default=None, metavar="DIR",
@@ -378,6 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="row-count override for both datasets")
         cmd.add_argument("--seed", type=int, default=None)
         add_worker_flags(cmd)
+        if name in _SHARED_CACHE_COMMANDS:
+            cmd.add_argument(
+                "--cache-size", type=int, default=None, metavar="N",
+                help="entry bound of the CATE memo the block's variants "
+                     "share (0 disables it for paper-comparable cold "
+                     "runtimes; default 65536). Caching never changes "
+                     "results, only runtime.",
+            )
         if name == "run":
             cmd.add_argument("--variant", default="Group fairness",
                              help='e.g. "No constraints", "Group fairness"')

@@ -1,18 +1,26 @@
-"""Baselines: CauSumX, IDS and FRL (S15-S18; Sec. 7.1 of the paper)."""
+"""Baselines: CauSumX, IDS and FRL (S15-S18; Sec. 7.1 of the paper).
 
-from repro.baselines.association import (
-    AssociationRule,
-    binarize_outcome,
-    mine_association_rules,
-)
-from repro.baselines.causumx import run_causumx
-from repro.baselines.ids import IDSConfig, IDSResult, run_ids
-from repro.baselines.frl import FRLConfig, FRLResult, run_frl
-from repro.baselines.adapt import (
-    AdaptedBaselineResult,
-    adapt_if_as_grouping,
-    adapt_if_as_intervention,
-)
+The names below resolve on first access (PEP 562).
+"""
+
+from repro._lazy import lazy_exports
+
+#: Export -> the submodule it is re-exported from.
+_LAZY = {
+    name: f"repro.baselines.{module}"
+    for module, names in (
+        ("association", (
+            "AssociationRule", "binarize_outcome", "mine_association_rules",
+        )),
+        ("causumx", ("run_causumx",)),
+        ("ids", ("IDSConfig", "IDSResult", "run_ids")),
+        ("frl", ("FRLConfig", "FRLResult", "run_frl")),
+        ("adapt", (
+            "AdaptedBaselineResult", "adapt_if_as_grouping", "adapt_if_as_intervention",
+        )),
+    )
+    for name in names
+}
 
 __all__ = [
     "AssociationRule",
@@ -29,3 +37,5 @@ __all__ = [
     "adapt_if_as_grouping",
     "adapt_if_as_intervention",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -22,33 +22,38 @@ code depends on no graph library.
   Table 6,
 - :mod:`~repro.causal.scm` — structural causal models used to generate the
   synthetic datasets with known ground-truth effects.
+
+The names below resolve on first access (PEP 562), so a mining run never
+loads the discovery, independence-test or synthetic-DAG modules.
 """
 
-from repro.causal.dag import CausalDAG
-from repro.causal.dseparation import d_separated
-from repro.causal.backdoor import (
-    backdoor_adjustment_set,
-    is_valid_backdoor_set,
-    minimal_backdoor_set,
-)
-from repro.causal.batch import (
-    GramFactorization,
-    build_rows_factorization,
-    estimate_level_rows,
-)
-from repro.causal.estimators import (
-    CateResult,
-    LinearAdjustmentEstimator,
-    StratifiedEstimator,
-    estimate_cate,
-)
-from repro.causal.discovery import pc_dag, pc_skeleton
-from repro.causal.dagbuilders import (
-    one_layer_independent_dag,
-    two_layer_dag,
-    two_layer_mutable_dag,
-)
-from repro.causal.scm import SCMNode, StructuralCausalModel
+from repro._lazy import lazy_exports
+
+#: Export -> the submodule it is re-exported from.
+_LAZY = {
+    name: f"repro.causal.{module}"
+    for module, names in (
+        ("dag", ("CausalDAG",)),
+        ("dseparation", ("d_separated",)),
+        ("backdoor", (
+            "backdoor_adjustment_set", "is_valid_backdoor_set",
+            "minimal_backdoor_set",
+        )),
+        ("batch", (
+            "GramFactorization", "build_rows_factorization", "estimate_level_rows",
+        )),
+        ("estimators", (
+            "CateResult", "LinearAdjustmentEstimator", "StratifiedEstimator",
+            "estimate_cate",
+        )),
+        ("discovery", ("pc_dag", "pc_skeleton")),
+        ("dagbuilders", (
+            "one_layer_independent_dag", "two_layer_dag", "two_layer_mutable_dag",
+        )),
+        ("scm", ("SCMNode", "StructuralCausalModel")),
+    )
+    for name in names
+}
 
 __all__ = [
     "CausalDAG",
@@ -71,3 +76,5 @@ __all__ = [
     "SCMNode",
     "StructuralCausalModel",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -162,6 +162,11 @@ class GramFactorization:
     the outcome residual.  That setup cost is what dominates Step-2 mining
     once everything else is batched.
 
+    The basis is stored as row indices into the table's ``Aᵀ``
+    (``keep`` into ``rows``, which *is* the table's ``_Moments.rows``, not
+    a copy); :meth:`basis` gathers ``Wᵀ`` when a kernel call needs it, so
+    a memoised factorization holds no ``(n, rank)`` array of its own.
+
     A design the build rejects (see :func:`build_rows_factorization`)
     yields the *degenerate marker*: ``degenerate=True``, rank 0 and empty
     arrays.  Every column estimated against it takes the scalar ``ols()``
@@ -170,13 +175,18 @@ class GramFactorization:
     ``None`` as a miss.
     """
 
-    w: np.ndarray  # (n, rank) basis columns of the design block
+    keep: np.ndarray  # (rank,) rows of ``rows`` that form the basis
+    rows: np.ndarray  # the table's Aᵀ (shared with its _Moments)
     gram_inv: np.ndarray  # (rank, rank) inverse of WᵀW
     rank: int
     y_res: np.ndarray
     y_res_sq: float
     n: int
     degenerate: bool = False
+
+    def basis(self) -> np.ndarray:
+        """``Wᵀ``: the ``(rank, n)`` basis rows gathered from ``Aᵀ`` (C order)."""
+        return self.rows[self.keep]
 
 
 @dataclass(frozen=True)
@@ -344,16 +354,17 @@ def _finish_gram(gram):
     return gram_inv
 
 
-def _degenerate_marker(n: int) -> GramFactorization:
+def _degenerate_marker(rows: np.ndarray) -> GramFactorization:
     """The factorization of a design the Gram build rejects."""
     _count_route("degenerate")
     return GramFactorization(
-        w=np.empty((n, 0)),
+        keep=np.empty(0, dtype=np.intp),
+        rows=rows,
         gram_inv=np.empty((0, 0)),
         rank=0,
         y_res=np.empty(0),
         y_res_sq=0.0,
-        n=n,
+        n=rows.shape[1],
         degenerate=True,
     )
 
@@ -372,8 +383,9 @@ def build_rows_factorization(
     absent, the block's first present column are dropped (route
     ``gram_reduced``).  The basis spans the same ``col(W)``, so the FWL
     residuals, and the rank behind the dof ``n - rank - 1``, are the
-    scalar path's.  Then ``G = M[keep][:, keep]``, ``Wᵀy = M[keep, y]``
-    and ``W = A[:, keep]``.  A design still wider than its table, or
+    scalar path's.  Then ``G = M[keep][:, keep]`` and ``Wᵀy = M[keep, y]``;
+    ``W = A[:, keep]`` is gathered only for the outcome residual and not
+    kept.  A design still wider than its table, or
     rejected by the Cholesky or the condition gate, yields the degenerate
     marker (route ``degenerate``); the kernel answers its columns through
     the scalar path.
@@ -391,15 +403,14 @@ def build_rows_factorization(
     cols = np.array(cols)
     keep = cols[stats.basis[cols]]
     if keep.size > n:
-        return _degenerate_marker(n)
+        return _degenerate_marker(stats.rows)
     gram_inv = _finish_gram(stats.moments[keep[:, None], keep])
     if gram_inv is None:
-        return _degenerate_marker(n)
-    w = stats.rows[keep].T
+        return _degenerate_marker(stats.rows)
     # One fused GEMV: y_res = y - W (G^-1 Wᵀy), accumulated in place.
     y_res = blas.dgemv(
         -1.0,
-        w,
+        stats.rows[keep].T,
         gram_inv @ stats.moments[keep, -1],
         beta=1.0,
         y=stats.rows[-1].copy(),
@@ -407,7 +418,8 @@ def build_rows_factorization(
     )
     _count_route("gram_reduced" if keep.size < cols.size else "gram")
     return GramFactorization(
-        w=w,
+        keep=keep,
+        rows=stats.rows,
         gram_inv=gram_inv,
         rank=keep.size,
         y_res=y_res,
@@ -554,9 +566,11 @@ def estimate_level_rows(
             t_rows = float_rows[cols] if len(cols) != m else float_rows
             # The transposed GEMM pair: project out col(W) row-wise, then the
             # contiguous-row reductions (einsum stays off BLAS; each row's sum
-            # is a pure function of that row).
-            projected = (t_rows @ factorization.w) @ factorization.gram_inv
-            t_res = t_rows - projected @ factorization.w.T
+            # is a pure function of that row).  ``basis`` is Wᵀ, gathered for
+            # this group only: the memo keeps row indices, not a copy of W.
+            basis = factorization.basis()
+            projected = (t_rows @ basis.T) @ factorization.gram_inv
+            t_res = t_rows - projected @ basis
             tt_parts.append(np.einsum("ij,ij->i", t_res, t_res))
             ty_parts.append(np.einsum("ij,j->i", t_res, factorization.y_res))
             act_cols.extend(cols)

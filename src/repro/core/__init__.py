@@ -1,29 +1,34 @@
-"""The FairCap algorithm — the paper's primary contribution (S13, S14)."""
+"""The FairCap algorithm — the paper's primary contribution (S13, S14).
 
-from repro.core.config import FairCapConfig
-from repro.core.variants import (
-    ProblemVariant,
-    all_variants,
-    canonical_variants,
-    unconstrained,
-)
-from repro.core.faircap import FairCap, FairCapResult, run_faircap
-from repro.core.greedy import GreedyResult, GreedyStep, greedy_select
-from repro.core.grouping import mine_grouping_patterns
-from repro.core.intervention import (
-    InterventionMiningResult,
-    intervention_items,
-    mine_grouping,
-    mine_intervention,
-    mine_interventions_for_groups,
-)
-from repro.core.bruteforce import BruteForceResult, brute_force_select
-from repro.core.costs import (
-    BudgetedSelection,
-    InterventionCostModel,
-    cost_effectiveness,
-    select_within_budget,
-)
+The names below resolve on first access (PEP 562), so a run never loads
+the brute-force selector or the cost extension.
+"""
+
+from repro._lazy import lazy_exports
+
+#: Export -> the submodule it is re-exported from.
+_LAZY = {
+    name: f"repro.core.{module}"
+    for module, names in (
+        ("config", ("FairCapConfig",)),
+        ("variants", (
+            "ProblemVariant", "all_variants", "canonical_variants", "unconstrained",
+        )),
+        ("faircap", ("FairCap", "FairCapResult", "run_faircap")),
+        ("greedy", ("GreedyResult", "GreedyStep", "greedy_select")),
+        ("grouping", ("mine_grouping_patterns",)),
+        ("intervention", (
+            "InterventionMiningResult", "intervention_items", "mine_grouping",
+            "mine_intervention", "mine_interventions_for_groups",
+        )),
+        ("bruteforce", ("BruteForceResult", "brute_force_select")),
+        ("costs", (
+            "BudgetedSelection", "InterventionCostModel", "cost_effectiveness",
+            "select_within_budget",
+        )),
+    )
+    for name in names
+}
 
 __all__ = [
     "InterventionCostModel",
@@ -50,3 +55,5 @@ __all__ = [
     "BruteForceResult",
     "brute_force_select",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

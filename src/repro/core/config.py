@@ -74,8 +74,13 @@ class FairCapConfig:
         contract in :mod:`repro.parallel`.
     cache_size:
         Entry bound of the content-addressed CATE memo
-        (:class:`~repro.parallel.cache.EstimationCache`); ``0`` disables
-        caching.  Caching never changes results, only latency.
+        (:class:`~repro.parallel.cache.EstimationCache`) that
+        :meth:`make_cache` builds for callers sharing one memo across
+        runs, such as the ``table4``–``table6`` experiments across a block's
+        variants; ``0`` makes :meth:`make_cache` return ``None``.  A
+        :class:`~repro.core.faircap.FairCap` run never builds a cache of its
+        own, so the field sizes nothing else.  Caching never changes
+        results, only latency.
     batch_estimation:
         Route Step-2 lattice levels through the batched FWL estimation
         engine (:mod:`repro.causal.batch`).  Each grouping pattern is mined
@@ -221,7 +226,7 @@ class FairCapConfig:
         return make_executor(self.n_workers)
 
     def make_cache(self) -> EstimationCache | None:
-        """Instantiate the CATE memo (``None`` when ``cache_size`` is 0)."""
+        """A CATE memo to share across runs (``None`` when ``cache_size`` is 0)."""
         if self.cache_size == 0:
             return None
         return EstimationCache(self.cache_size)

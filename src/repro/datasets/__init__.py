@@ -8,17 +8,25 @@ effect profiles mirror the paper's description (see DESIGN.md, Substitutions
 and a deliberately non-causal correlated attribute is included so that
 association-based baselines pick up the paper's "sexual orientation"-style
 trap.
+
+The names below resolve on first access (PEP 562), so loading one dataset
+does not load the others or the out-of-core store.
 """
 
-from repro.datasets.bundle import DatasetBundle
-from repro.datasets.stackoverflow import load_stackoverflow
-from repro.datasets.german import load_german
-from repro.datasets.registry import DATASET_LOADERS, load_dataset
-from repro.datasets.sharded import (
-    ShardedTable,
-    ShardedTableWriter,
-    sharded_from_chunks,
-)
+from repro._lazy import lazy_exports
+
+#: Export -> the submodule it is re-exported from.
+_LAZY = {
+    name: f"repro.datasets.{module}"
+    for module, names in (
+        ("bundle", ("DatasetBundle",)),
+        ("stackoverflow", ("load_stackoverflow",)),
+        ("german", ("load_german",)),
+        ("registry", ("DATASET_LOADERS", "load_dataset")),
+        ("sharded", ("ShardedTable", "ShardedTableWriter", "sharded_from_chunks")),
+    )
+    for name in names
+}
 
 __all__ = [
     "DatasetBundle",
@@ -30,3 +38,5 @@ __all__ = [
     "ShardedTableWriter",
     "sharded_from_chunks",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -60,8 +60,10 @@ class ExperimentSettings:
     seed: int
     n_workers: int = 1
     cache_size: int | None = None
-    """CATE memo bound; ``None`` = the FairCapConfig default, ``0`` disables
-    caching entirely (cache-free, paper-methodology-comparable runtimes)."""
+    """Entry bound of the CATE memo the ``table4``–``table6`` experiments share
+    across a block's variants; ``None`` = the FairCapConfig default, ``0``
+    disables it (cache-free, paper-methodology-comparable runtimes).  The
+    other experiments run without a cache, so it sets nothing there."""
     n_override: int | None = None
     """Explicit row-count override (the CLI's ``--n``); applies to every
     dataset including scenario worlds.  ``None`` = per-dataset defaults."""

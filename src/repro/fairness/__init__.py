@@ -1,20 +1,31 @@
-"""Fairness and coverage constraints (S10-S12; Secs. 4.5-4.6, 5.2, 5.4)."""
+"""Fairness and coverage constraints (S10-S12; Secs. 4.5-4.6, 5.2, 5.4).
 
-from repro.fairness.constraints import (
-    FairnessKind,
-    FairnessScope,
-    FairnessConstraint,
-    statistical_parity,
-    bounded_group_loss,
-)
-from repro.fairness.coverage import (
-    CoverageConstraint,
-    CoverageKind,
-    group_coverage,
-    rule_coverage,
-)
+The names below resolve on first access (PEP 562), except ``benefit`` and
+``total_benefit`` (see below).
+"""
+
+from repro._lazy import lazy_exports
+
+# ``benefit`` is also the name of its submodule, which the greedy step
+# imports directly; binding the function eagerly keeps
+# ``repro.fairness.benefit`` the function whatever is imported first.
 from repro.fairness.benefit import benefit, total_benefit
-from repro.fairness.decision_tree import select_variant
+
+#: Export -> the submodule it is re-exported from.
+_LAZY = {
+    name: f"repro.fairness.{module}"
+    for module, names in (
+        ("constraints", (
+            "FairnessKind", "FairnessScope", "FairnessConstraint",
+            "statistical_parity", "bounded_group_loss",
+        )),
+        ("coverage", (
+            "CoverageConstraint", "CoverageKind", "group_coverage", "rule_coverage",
+        )),
+        ("decision_tree", ("select_variant",)),
+    )
+    for name in names
+}
 
 __all__ = [
     "FairnessKind",
@@ -30,3 +41,5 @@ __all__ = [
     "total_benefit",
     "select_variant",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -15,8 +15,7 @@ both a submodule and the function it defines, so which of the two
 always the function.
 """
 
-import importlib
-
+from repro._lazy import lazy_exports
 from repro.mining.patterns import Operator, Predicate, Pattern
 from repro.mining.lattice import LatticeNode, traverse_lattice
 
@@ -36,15 +35,4 @@ __all__ = [
     "traverse_lattice",
 ]
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

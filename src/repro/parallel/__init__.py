@@ -16,8 +16,9 @@ is re-estimated again and again).  This package addresses both:
 - :mod:`repro.parallel.cache` — :class:`~repro.parallel.cache.EstimationCache`,
   a content-addressed memo of ``estimate_cate`` results keyed by
   ``(estimator, table fingerprint, treated mask, outcome, adjustment set)``
-  so overlapping candidates share estimation work across lattice levels,
-  across problem variants, and across experiment runs.
+  so overlapping candidates share estimation work across problem variants
+  and experiment runs.  A caller that runs several variants passes one;
+  a single run builds none, since almost nothing recurs inside it.
 - :mod:`repro.parallel.mining` — the process-pool fan-out of Step 2
   (imported lazily by :mod:`repro.core.intervention`; it is *not* re-exported
   here to keep this package importable from :mod:`repro.core.config`).
@@ -45,23 +46,27 @@ worker count**.  The guarantees that make this hold:
 The differential suite ``tests/parallel/test_equivalence.py`` locks this
 contract down by asserting rule-for-rule, metric-for-metric equality between
 executors on every bundled dataset.
+
+The names below resolve on first access (PEP 562).
 """
 
-from repro.parallel.cache import CacheStats, EstimationCache
-from repro.parallel.executors import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    chunk_indices,
-    make_executor,
-)
-from repro.parallel.resilience import (
-    ChaosError,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    RunCheckpoint,
-)
+from repro._lazy import lazy_exports
+
+#: Export -> the submodule it is re-exported from.
+_LAZY = {
+    name: f"repro.parallel.{module}"
+    for module, names in (
+        ("cache", ("CacheStats", "EstimationCache")),
+        ("executors", (
+            "Executor", "ProcessExecutor", "SerialExecutor", "chunk_indices",
+            "make_executor",
+        )),
+        ("resilience", (
+            "ChaosError", "FaultPlan", "FaultSpec", "RetryPolicy", "RunCheckpoint",
+        )),
+    )
+    for name in names
+}
 
 __all__ = [
     "CacheStats",
@@ -77,3 +82,5 @@ __all__ = [
     "chunk_indices",
     "make_executor",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -2,10 +2,9 @@
 
 FairCap's Step 2 estimates thousands of CATEs, and large fractions of that
 work recur: the same sub-population / treated-mask / adjustment-set triple is
-re-estimated across lattice levels (a kept node's splits reappear under its
-children's contexts), across the nine problem variants of a Table-4 style
-experiment (variants change *selection*, not estimation), and across repeat
-runs on the same data.  :class:`EstimationCache` memoises
+re-estimated across the nine problem variants of a Table-4 style experiment
+(variants change *selection*, not estimation) and across repeat runs on the
+same data.  :class:`EstimationCache` memoises
 :meth:`~repro.causal.estimators.LinearAdjustmentEstimator.estimate` results
 under a key derived entirely from content:
 
@@ -29,6 +28,12 @@ level) batch under a digest of its packed treated stack — per-candidate GEMM
 output is only bit-reproducible for an identical batch, so the level itself
 is the content unit.  Design factorizations are not kept here: each is
 memoised on the sub-table it factorizes and dies with it.
+
+The cache pays across runs, not inside one: on the StackOverflow benchmark
+run (2,000 rows) 8 of 830 level lookups hit, while nine Table-4 variants
+sharing one cache answered 4,302 of 5,124.  So ``FairCap`` builds none of
+its own; the callers that run a block of variants pass one
+(:meth:`repro.core.config.FairCapConfig.make_cache`).
 """
 
 from __future__ import annotations

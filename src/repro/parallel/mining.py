@@ -22,12 +22,12 @@ Each worker mines its patterns one at a time through
 :func:`repro.core.intervention.mine_grouping` — the same per-pattern function
 the serial loop uses — so a worker holds one grouping context at a time.
 Under ``config.batch_estimation`` (the default) a lattice level is one
-GEMM batch per sub-population (:mod:`repro.causal.batch`), and the
-worker-side :class:`~repro.parallel.cache.EstimationCache` stores
-whole-level entries, which is what keeps results bit-identical across
-worker counts — a level's batch composition is determined by the traversal,
-never by which worker mined neighbouring patterns (see
-``EstimationCache.rows_level_key``).
+GEMM batch per sub-population (:mod:`repro.causal.batch`).  When the caller
+passes an :class:`~repro.parallel.cache.EstimationCache`, each worker gets
+a copy that stores whole-level entries, which is what keeps results
+bit-identical across worker counts — a level's batch composition is
+determined by the traversal, never by which worker mined neighbouring
+patterns (see ``EstimationCache.rows_level_key``).
 
 This module is imported lazily by :mod:`repro.core.intervention` to keep
 ``repro.parallel`` importable from ``repro.core.config``.
@@ -67,12 +67,13 @@ class _MiningState:
 def _build_state(payload: dict) -> _MiningState:
     """Pool initializer target: rebuild the evaluator inside a worker.
 
-    The worker's cache is *seeded* from a snapshot of the caller's cache
-    (cross-run warm start) and set to record what it computes, so new
-    entries can travel back with the chunk results and accumulate in the
-    caller's cache across runs — e.g. across the nine variants of a
-    Table 4 block, which would otherwise re-estimate everything because
-    each run's process pool is torn down at the end.
+    A worker builds a cache only when the caller has one.  It is *seeded*
+    from a snapshot of the caller's cache (cross-run warm start) and set to
+    record what it computes, so new entries can travel back with the chunk
+    results and accumulate in the caller's cache across runs — e.g. across
+    the nine variants of a Table 4 block, which would otherwise
+    re-estimate everything because each run's process pool is torn down
+    at the end.
 
     The degraded-serial recovery path runs this builder *in the caller*
     (``payload["caller_pid"]`` matches): there it must not install a
@@ -96,15 +97,12 @@ def _build_state(payload: dict) -> _MiningState:
 
         install(Telemetry(enabled=True))
         owns_telemetry = True
-    # The worker cache mirrors the caller's: its bound comes from the actual
-    # caller cache when one exists (FairCap(cache=...) overrides the config,
-    # including config.cache_size == 0), falling back to the config default.
-    cache_entries = payload["cache_entries"]
-    cache = EstimationCache(cache_entries) if cache_entries else None
-    if cache is not None:
-        snapshot = payload.get("cache_snapshot")
-        if snapshot:
-            cache.seed(snapshot)
+    # A worker has a cache only when the caller has one, with the caller's
+    # bound and content.
+    cache = None
+    if payload["cache_entries"] is not None:
+        cache = EstimationCache(payload["cache_entries"])
+        cache.seed(payload["cache_snapshot"])
         cache.record_new_entries()
     evaluator = RuleEvaluator(
         payload["table"],
@@ -187,9 +185,10 @@ def mine_groups_detailed(
         return []
 
     # Workers rebuild the evaluator from a picklable payload (shipped once
-    # per worker via the pool initializer).  The caller's cache content
-    # rides along as a warm-start snapshot, and each chunk brings its
-    # freshly-computed entries back for merging below.
+    # per worker via the pool initializer).  The caller's cache content, if
+    # it has a cache, rides along as a warm-start snapshot, and each chunk
+    # brings its freshly-computed entries back for merging below.
+    cache = evaluator.cache
     payload = {
         "table": evaluator.table,
         "outcome": evaluator.outcome,
@@ -200,14 +199,8 @@ def mine_groups_detailed(
         "items": items,
         "patterns": patterns,
         "caller_pid": os.getpid(),
-        "cache_snapshot": (
-            evaluator.cache.snapshot() if evaluator.cache is not None else None
-        ),
-        "cache_entries": (
-            evaluator.cache.max_entries
-            if evaluator.cache is not None
-            else config.cache_size
-        ),
+        "cache_snapshot": cache.snapshot() if cache is not None else None,
+        "cache_entries": cache.max_entries if cache is not None else None,
     }
     chunk_results = executor.map_with_state(
         _build_state,
@@ -221,8 +214,8 @@ def mine_groups_detailed(
     indexed: list[tuple] = []
     for chunk, new_entries, telemetry_payload in chunk_results:
         indexed.extend(chunk)
-        if new_entries and evaluator.cache is not None:
-            evaluator.cache.seed(new_entries)
+        if new_entries:
+            cache.seed(new_entries)
         if telemetry_payload is not None:
             # Process workers count in their own registries; fold each
             # chunk's snapshot into the caller's session (counters add,

@@ -4,6 +4,7 @@
 estimation stack, which the serving tier never imports.
 """
 
+from repro._lazy import lazy_exports
 from repro.rules.protected import ProtectedGroup
 from repro.rules.rule import PrescriptionRule
 from repro.rules.ruleset import RuleSet, RulesetEvaluator, RulesetMetrics
@@ -21,15 +22,6 @@ __all__ = [
     "describe_rule",
 ]
 
-
-def __getattr__(name: str):
-    if name == "RuleEvaluator":
-        from repro.rules.utility import RuleEvaluator
-
-        globals()[name] = RuleEvaluator
-        return RuleEvaluator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), "RuleEvaluator"})
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"RuleEvaluator": "repro.rules.utility"}
+)

@@ -90,7 +90,14 @@ class _NumericPlan:
             )
 
     def satisfied(self, value: object, out: list[int]) -> None:
-        """Append the ids of predicates this attribute value satisfies."""
+        """Append the ids of predicates this attribute value satisfies.
+
+        Only a number compares: a string such as ``"35"`` raises
+        ``TypeError`` instead of matching as the number it spells, as the
+        reference scan (:func:`naive_match_row`) raises on it.
+        """
+        if not _is_numeric_value(value):
+            raise TypeError(f"not a number: {value!r}")
         x = float(value)  # type: ignore[arg-type]
         if x != x:  # NaN: every comparison is False except !=
             out.extend(pred_id for __, pred_id in self.ne_pairs)

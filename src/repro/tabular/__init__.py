@@ -16,8 +16,7 @@ The numpy-backed names (columns, :class:`Table`, CSV I/O) resolve on
 first access (PEP 562); the schema alone loads without numpy.
 """
 
-import importlib
-
+from repro._lazy import lazy_exports
 from repro.tabular.schema import AttributeKind, AttributeRole, AttributeSpec, Schema
 
 #: Export -> the numpy-backed submodule it is re-exported from.
@@ -47,15 +46,4 @@ __all__ = [
     "write_csv",
 ]
 
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

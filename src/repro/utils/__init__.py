@@ -4,6 +4,7 @@
 which the errors, timers and text helpers do not.
 """
 
+from repro._lazy import lazy_exports
 from repro.utils.errors import (
     ReproError,
     SchemaError,
@@ -28,15 +29,4 @@ __all__ = [
     "format_percent",
 ]
 
-
-def __getattr__(name: str):
-    if name == "ensure_rng":
-        from repro.utils.rng import ensure_rng
-
-        globals()[name] = ensure_rng
-        return ensure_rng
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), "ensure_rng"})
+__getattr__, __dir__ = lazy_exports(__name__, {"ensure_rng": "repro.utils.rng"})

@@ -38,6 +38,7 @@ passing unmodified with it on.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -103,6 +104,12 @@ def assert_batch_matches_scalar(
 
 def random_masks(rng, n: int, m: int) -> np.ndarray:
     return rng.random((n, m)) < rng.uniform(0.15, 0.6, size=m)
+
+
+def factorization_arrays(factorization) -> tuple[np.ndarray, ...]:
+    """A factorization's bits: ``G⁻¹``, the basis ``Wᵀ`` it gathers from
+    its table's design, and the outcome residual."""
+    return factorization.gram_inv, factorization.basis(), factorization.y_res
 
 
 # -- row-by-row equality on the bundled datasets -------------------------------
@@ -274,10 +281,11 @@ def test_basis_is_a_pure_function_of_table_content():
     first = {a: build_rows_factorization(filtered, "y", a) for a in designs}
     second = {a: build_rows_factorization(taken, "y", a) for a in designs[::-1]}
     for adjustment in designs:
-        for field in ("gram_inv", "w", "y_res"):
-            np.testing.assert_array_equal(
-                getattr(first[adjustment], field), getattr(second[adjustment], field)
-            )
+        for got, want in zip(
+            factorization_arrays(first[adjustment]),
+            factorization_arrays(second[adjustment]),
+        ):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["gram", "gram_reduced"])
@@ -293,7 +301,7 @@ def test_categorical_gram_inverse_is_exact(reduced):
         table, "Income", ("Gender", "City", "Training")
     )
     assert factorization.rank == (3 if reduced else 4)
-    w = factorization.w
+    w = factorization.basis().T
     r_factor, info = lapack.dpotrf(w.T @ w, lower=0)
     assert info == 0
     upper, info = lapack.dpotri(r_factor, lower=0)
@@ -356,10 +364,10 @@ def test_kernel_memoises_factorizations_per_table(monkeypatch):
         copy = table.filter(np.ones(table.n_rows, dtype=bool))
         rows_kernel(copy, masks, "Income", adjustment)
         assert len(built) == 2 and built[1] is not built[0]
-        for field in ("gram_inv", "w", "y_res"):
-            np.testing.assert_array_equal(
-                getattr(built[1], field), getattr(built[0], field)
-            )
+        for got, want in zip(
+            factorization_arrays(built[1]), factorization_arrays(built[0])
+        ):
+            np.testing.assert_array_equal(got, want)
 
         for _ in range(2):
             with pytest.raises(SchemaError, match="Region"):
@@ -371,6 +379,36 @@ def test_kernel_memoises_factorizations_per_table(monkeypatch):
         "outcome=hit,tier=factorization": 2.0,
         "outcome=miss,tier=factorization": 2.0,
     }
+
+
+def test_memoised_factorizations_hold_no_copy_of_the_design():
+    """A memoised factorization keeps row indices into its table's ``Aᵀ``,
+    not a copy of ``W``: every one, the degenerate marker included, holds
+    the table's own ``_Moments.rows`` and no ``(n, rank)`` array."""
+    table = build_toy_table(n=300, seed=4)
+    table = table.with_column("Gender2", table.values("Gender"))
+    designs = [("Gender",), ("City", "Gender"), (), ("Gender", "Gender2")] * 2
+    masks = random_masks(ensure_rng(4), table.n_rows, len(designs))
+    rows_kernel(table, masks, "Income", designs)
+    rows = table.__dict__["_moments_cache"]["Income"].rows
+    memo = table.__dict__["_factorization_cache"]
+    assert sorted(adjustment for _, adjustment in memo) == sorted(set(designs))
+    assert memo[("Income", ("Gender", "Gender2"))].degenerate
+    for factorization in memo.values():
+        assert factorization.rows is rows
+        owned = [
+            getattr(factorization, field.name)
+            for field in dataclasses.fields(factorization)
+            if field.name != "rows"
+        ]
+        assert not any(
+            isinstance(value, np.ndarray) and value.ndim == 2
+            and table.n_rows in value.shape
+            for value in owned
+        )
+        np.testing.assert_array_equal(
+            factorization.basis(), rows[factorization.keep]
+        )
 
 
 # -- property tests ------------------------------------------------------------

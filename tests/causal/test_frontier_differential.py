@@ -254,8 +254,8 @@ def _toy_problem(n: int = 900, seed: int = 11):
     return table, build_toy_dag(), protected
 
 
-def _mine(config, table, dag, protected):
-    return FairCap(config).run(table, None, dag, protected)
+def _mine(config, table, dag, protected, cache=None):
+    return FairCap(config, cache=cache).run(table, None, dag, protected)
 
 
 def _assert_same_mining(got, want) -> None:
@@ -351,8 +351,9 @@ def test_frontier_serial_equals_process():
 
 def test_frontier_without_cache_matches_cached():
     problem = _toy_problem(n=800, seed=23)
-    cached = _mine(FairCapConfig(), *problem)
-    uncached = _mine(FairCapConfig(cache_size=0), *problem)
+    config = FairCapConfig()
+    cached = _mine(config, *problem, cache=config.make_cache())
+    uncached = _mine(config, *problem)
     _assert_same_mining(uncached, cached)
 
 

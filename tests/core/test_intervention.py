@@ -197,6 +197,7 @@ def test_no_factorization_outlives_its_context(monkeypatch, cache_size):
 
     bundle = load_german(n=800, rng=3)
     config = FairCapConfig(max_grouping_size=1, cache_size=cache_size)
+    cache = config.make_cache()  # a run builds none of its own
     build_context = RuleEvaluator.context
     build = batch.build_rows_factorization
     contexts = 0  # contexts built so far
@@ -222,7 +223,7 @@ def test_no_factorization_outlives_its_context(monkeypatch, cache_size):
 
     monkeypatch.setattr(RuleEvaluator, "context", tracking_context)
     monkeypatch.setattr(batch, "build_rows_factorization", tracking_build)
-    result = FairCap(config).run(
+    result = FairCap(config, cache=cache).run(
         bundle.table, bundle.schema, bundle.dag, bundle.protected
     )
     assert contexts == len(result.grouping_patterns) >= 10

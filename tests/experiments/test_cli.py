@@ -130,6 +130,24 @@ def test_row_count_below_one_is_a_clean_error(argv, env, n, monkeypatch, capsys)
     assert err == f"error: row count n must be at least 1, got {n}\n"
 
 
+@pytest.mark.parametrize("command", ["table4", "table5", "table6"])
+def test_cache_size_parses_where_a_block_shares_a_cache(command):
+    args = build_parser().parse_args([command, "--cache-size", "0"])
+    assert args.cache_size == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["table3", "run", "export", "figure3", "figure4", "figure5", "apriori-sweep"],
+)
+def test_cache_size_is_not_a_flag_where_it_would_set_nothing(command, capsys):
+    """These commands run FairCap without a CATE cache (or not at all)."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([command, "--cache-size", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --cache-size 5" in capsys.readouterr().err
+
+
 def test_serve_parser_arguments():
     args = build_parser().parse_args(
         ["serve", "--artifact", "ruleset.json", "--port", "9000"]

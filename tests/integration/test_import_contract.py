@@ -6,10 +6,11 @@ numpy, SciPy, networkx or the estimation subpackages; no process needs
 ``scipy.stats`` (p-values come from ``scipy.special`` kernels), networkx
 (the causal DAG is an in-repo bitmask kernel; networkx is the tests'
 reference only) or ``multiprocessing.shared_memory`` (every process builds
-its own design blocks).  ``repro``, ``repro.rules``, ``repro.mining``,
-``repro.tabular`` and ``repro.utils`` resolve their heavy re-exports on
-first access (PEP 562), so the public import surface stays exactly what it
-was.
+its own design blocks), and ``repro run`` loads none of the table or
+figure experiments, baselines or other modules it never calls.  ``repro`` and the
+library subpackages (all but ``repro.obs``, ``repro.scenarios``,
+``repro.serve`` and ``repro.theory``) resolve their re-exports on first
+access (PEP 562), so the public import surface stays exactly what it was.
 
 The two process checks run in a fresh interpreter: this test process has
 long since imported everything.
@@ -27,8 +28,15 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.baselines
+import repro.causal
+import repro.core
+import repro.datasets
+import repro.experiments
+import repro.fairness
 import repro.mining
 import repro.mining.apriori
+import repro.parallel
 import repro.rules
 import repro.rules.utility
 import repro.tabular
@@ -156,9 +164,28 @@ def test_serve_process_loads_no_estimation_stack(tmp_path):
     assert loaded == []
 
 
+#: Never loaded by ``repro run``: it calls none of these, and the package
+#: ``__init__``s that re-export them resolve their names lazily.
+MINE_UNUSED = (
+    "repro.baselines",
+    "repro.experiments.table3", "repro.experiments.table4",
+    "repro.experiments.table5", "repro.experiments.table6",
+    "repro.experiments.figure3", "repro.experiments.figure4",
+    "repro.experiments.figure5", "repro.experiments.apriori_sweep",
+    "repro.experiments.reporting",
+    "repro.causal.dagbuilders", "repro.causal.discovery",
+    "repro.causal.independence",
+    "repro.core.bruteforce", "repro.core.costs",
+    "repro.datasets.sharded", "repro.datasets.shardstore",
+    "repro.fairness.decision_tree",
+)
+
+
 @pytest.mark.slow
 def test_mining_process_loads_no_scipy_stats_networkx_or_shared_memory():
-    forbidden = ("scipy.stats", "networkx", "multiprocessing.shared_memory")
+    forbidden = (
+        "scipy.stats", "networkx", "multiprocessing.shared_memory", *MINE_UNUSED,
+    )
     assert _child_loaded(_MINE_CHILD, json.dumps(forbidden)) == []
 
 
@@ -203,9 +230,16 @@ def test_numpy_backed_names_resolve_to_their_submodules():
     assert repro.apriori is repro.mining.apriori.apriori
 
 
-@pytest.mark.parametrize(
-    "module", [repro.mining, repro.tabular, repro.utils], ids=lambda m: m.__name__
-)
+#: Packages whose re-exports resolve on first access, besides ``repro``
+#: itself and ``repro.rules`` (covered above).
+LAZY_PACKAGES = [
+    repro.mining, repro.tabular, repro.utils, repro.experiments,
+    repro.datasets, repro.causal, repro.core, repro.parallel,
+    repro.fairness, repro.baselines,
+]
+
+
+@pytest.mark.parametrize("module", LAZY_PACKAGES, ids=lambda m: m.__name__)
 def test_star_import_covers_all(module):
     assert set(module.__all__) <= set(dir(module))
     namespace: dict = {}
@@ -214,9 +248,7 @@ def test_star_import_covers_all(module):
 
 
 @pytest.mark.parametrize(
-    "module",
-    [repro, repro.rules, repro.mining, repro.tabular, repro.utils],
-    ids=lambda m: m.__name__,
+    "module", [*LAZY_PACKAGES, repro, repro.rules], ids=lambda m: m.__name__
 )
 def test_unknown_name_raises_attribute_error(module):
     with pytest.raises(AttributeError, match="no_such_export"):

@@ -209,6 +209,34 @@ def test_explicit_cache_respected_when_config_disables_caching(request):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "process2"])
+def test_default_run_builds_no_estimation_cache(request, monkeypatch, n_workers):
+    """A run without a caller's cache estimates without one, in the caller
+    and in process workers: nothing constructs an ``EstimationCache`` and
+    no estimation-tier lookup is counted."""
+    from dataclasses import replace
+
+    from repro.parallel import EstimationCache
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a run without a caller's cache built one")
+
+    # Forked workers inherit the patch; the counters below cover workers
+    # started any other way.
+    monkeypatch.setattr(EstimationCache, "__init__", refuse)
+    table, schema, dag, protected, config = request.getfixturevalue(
+        "synth_problem"
+    )
+    config = replace(config, n_workers=n_workers, telemetry=True)
+    report = FairCap(config).run(table, schema, dag, protected).telemetry
+    lookups = report["counters"]["cache.lookups"]["values"]
+    assert lookups, "no factorization lookups were counted"
+    assert not [key for key in lookups if "tier=estimation" in key]
+    for gauge in ("cache.entries", "cache.hit_rate"):
+        assert "tier=estimation" not in report["gauges"].get(gauge, {})
+
+
+@pytest.mark.slow
 def test_config_spelling_matches_explicit_executor(request, serial_reference):
     """`FairCapConfig(n_workers=2)` runs the process pool, identically."""
     table, schema, dag, protected, config = request.getfixturevalue(

@@ -105,6 +105,19 @@ def test_prescribe_missing_attributes_is_400(live_server):
     assert "missing attributes" in payload["error"]["message"]
 
 
+def test_prescribe_numeric_string_is_400(live_server):
+    """A number sent as a string on a numeric attribute is a bad request,
+    not a match on the number it spells."""
+    status, payload = _post(
+        live_server + "/v1/prescribe",
+        {"individual": {"Country": "US", "Age": "35", "Gender": "M"}},
+    )
+    assert status == 400
+    assert payload["error"]["code"] == "bad_request"
+    assert "cannot compare value '35'" in payload["error"]["message"]
+    assert payload["error"]["request_id"]
+
+
 def test_prescribe_malformed_json_is_400(live_server):
     request = urllib.request.Request(
         live_server + "/v1/prescribe",

@@ -14,7 +14,7 @@ from repro.serve.index import (
     naive_match_row,
     naive_match_table,
 )
-from repro.utils.errors import ServeError
+from repro.utils.errors import PatternError, ServeError
 from repro.utils.rng import ensure_rng
 
 from tests.serve.conftest import random_rules, random_row, random_table
@@ -60,6 +60,37 @@ def test_uncomparable_value_is_reported(toy_ruleset):
     index = CompiledRuleIndex(toy_ruleset.rules)
     with pytest.raises(ServeError, match="cannot compare"):
         index.match_row({"Country": "US", "Age": "not-a-number"})
+
+
+#: One rule on a numeric attribute: ``Age >= 30.0``.
+AGE_RULES = [
+    PrescriptionRule(
+        Pattern([Predicate("Age", Operator.GE, 30.0)]),
+        Pattern.of(T="a"), 1.0, 1.0, 1.0, 10, 5,
+    )
+]
+
+
+@pytest.mark.parametrize("value", ["35", " 3.5e1 ", "inf", None, [35.0]])
+def test_numeric_attribute_takes_numbers_only(value):
+    """A string that spells a number is rejected, as the reference scan
+    rejects it, not matched as the number; so are null and a list."""
+    row = {"Age": value}
+    with pytest.raises(PatternError):
+        naive_match_row(AGE_RULES, row)
+    with pytest.raises(ServeError, match="cannot compare"):
+        CompiledRuleIndex(AGE_RULES).match_indices(row)
+
+
+@pytest.mark.parametrize(
+    "value", [35, 35.0, True, np.int64(35), np.float32(35.0)],
+    ids=["int", "float", "bool", "np.int64", "np.float32"],
+)
+def test_numbers_of_every_kind_match_like_the_reference(value):
+    row = {"Age": value}
+    np.testing.assert_array_equal(
+        CompiledRuleIndex(AGE_RULES).match_row(row), naive_match_row(AGE_RULES, row)
+    )
 
 
 def test_ordered_predicate_on_non_numeric_values_rejected():
